@@ -6,10 +6,12 @@
 //! kernel is a fixed-length GDP1 simulation on every gallery topology.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gdp_adversary::AdversaryKind;
 use gdp_algorithms::AlgorithmKind;
 use gdp_bench::{print_header, run_and_print, simulate_meals};
-use gdp_core::{SchedulerSpec, TopologySpec};
-use gdp_topology::builders::figure1_gallery;
+use gdp_topology::builders::{
+    figure1_gallery, figure1_hexagon, figure1_ring12_chords, figure1_ring9_chord, figure1_triangle,
+};
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -21,14 +23,14 @@ fn config() -> Criterion {
 
 fn bench_fig1_gallery(c: &mut Criterion) {
     print_header("E1 | Figure 1 gallery: GDP1/GDP2 on the paper's four generalized systems");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
+    for (label, topology) in [
+        ("figure1-triangle-6/3", figure1_triangle()),
+        ("figure1-hexagon-12/6", figure1_hexagon()),
+        ("figure1-ring12-16/12", figure1_ring12_chords()),
+        ("figure1-ring9-10/9", figure1_ring9_chord()),
     ] {
         for algorithm in [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2] {
-            run_and_print(spec.clone(), algorithm, SchedulerSpec::UniformRandom);
+            run_and_print(label, &topology, algorithm, AdversaryKind::UniformRandom);
         }
     }
 

@@ -3,9 +3,9 @@
 //! first-meal latency and fairness, for several ring sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gdp_adversary::AdversaryKind;
 use gdp_algorithms::AlgorithmKind;
 use gdp_bench::{print_header, run_and_print, simulate_meals};
-use gdp_core::{SchedulerSpec, TopologySpec};
 use gdp_topology::builders::classic_ring;
 use std::time::Duration;
 
@@ -20,11 +20,13 @@ fn bench_tables(c: &mut Criterion) {
     print_header("E7 | Tables 1-4 on the classic ring: all algorithms, throughput and fairness");
     for n in [6usize, 12, 24] {
         println!("--- ring size {n} ---");
+        let ring = classic_ring(n).expect("valid ring");
         for algorithm in AlgorithmKind::all() {
             run_and_print(
-                TopologySpec::ClassicRing(n),
+                &format!("classic-ring-{n}"),
+                &ring,
                 algorithm,
-                SchedulerSpec::UniformRandom,
+                AdversaryKind::UniformRandom,
             );
         }
     }

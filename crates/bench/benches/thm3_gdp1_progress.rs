@@ -8,12 +8,15 @@
 //! distribution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gdp_adversary::AdversaryKind;
 use gdp_algorithms::AlgorithmKind;
 use gdp_analysis::montecarlo::estimate_progress;
 use gdp_analysis::TrialConfig;
 use gdp_bench::{print_header, run_and_print, simulate_meals};
-use gdp_core::{SchedulerSpec, TopologySpec};
-use gdp_topology::builders::random_connected;
+use gdp_topology::builders::{
+    complete_conflict, figure1_hexagon, figure1_ring12_chords, figure1_ring9_chord,
+    figure1_triangle, figure2_hexagon_with_pendant, figure3_theta, random_connected,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
@@ -27,21 +30,21 @@ fn config() -> Criterion {
 
 fn bench_thm3(c: &mut Criterion) {
     print_header("E5 | Theorem 3: GDP1 progress probability across topologies and schedulers");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
-        TopologySpec::Figure2RingWithPendant,
-        TopologySpec::Figure3Theta,
-        TopologySpec::CompleteConflict(5),
+    for (label, topology) in [
+        ("figure1-triangle-6/3", figure1_triangle()),
+        ("figure1-hexagon-12/6", figure1_hexagon()),
+        ("figure1-ring12-16/12", figure1_ring12_chords()),
+        ("figure1-ring9-10/9", figure1_ring9_chord()),
+        ("figure2-hexagon+pendant", figure2_hexagon_with_pendant()),
+        ("figure3-theta-8/7", figure3_theta()),
+        ("complete-5", complete_conflict(5).unwrap()),
     ] {
-        for scheduler in [
-            SchedulerSpec::RoundRobin,
-            SchedulerSpec::UniformRandom,
-            SchedulerSpec::BlockingGlobal,
+        for adversary in [
+            AdversaryKind::RoundRobin,
+            AdversaryKind::UniformRandom,
+            AdversaryKind::Blocking,
         ] {
-            run_and_print(spec.clone(), AlgorithmKind::Gdp1, scheduler);
+            run_and_print(label, &topology, AlgorithmKind::Gdp1, adversary);
         }
     }
 
@@ -65,7 +68,7 @@ fn bench_thm3(c: &mut Criterion) {
     }
 
     let mut group = c.benchmark_group("thm3_gdp1_progress");
-    let theta = gdp_topology::builders::figure3_theta();
+    let theta = figure3_theta();
     group.bench_function("gdp1_theta_40k_steps", |b| {
         b.iter(|| simulate_meals(&theta, AlgorithmKind::Gdp1, 40_000, 3));
     });

@@ -5,9 +5,13 @@
 //! are all zero and the per-philosopher meal distribution stays balanced.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gdp_adversary::AdversaryKind;
 use gdp_algorithms::AlgorithmKind;
 use gdp_bench::{print_header, run_and_print, simulate_meals};
-use gdp_core::{SchedulerSpec, TopologySpec};
+use gdp_topology::builders::{
+    figure1_hexagon, figure1_ring12_chords, figure1_ring9_chord, figure1_triangle,
+    figure2_hexagon_with_pendant, figure3_theta,
+};
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -19,28 +23,29 @@ fn config() -> Criterion {
 
 fn bench_thm4(c: &mut Criterion) {
     print_header("E6 | Theorem 4: GDP2 lockout-freedom (and LR2/GDP1 for contrast)");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
-        TopologySpec::Figure2RingWithPendant,
-        TopologySpec::Figure3Theta,
+    for (label, topology) in [
+        ("figure1-triangle-6/3", figure1_triangle()),
+        ("figure1-hexagon-12/6", figure1_hexagon()),
+        ("figure1-ring12-16/12", figure1_ring12_chords()),
+        ("figure1-ring9-10/9", figure1_ring9_chord()),
+        ("figure2-hexagon+pendant", figure2_hexagon_with_pendant()),
+        ("figure3-theta-8/7", figure3_theta()),
     ] {
         for algorithm in [AlgorithmKind::Gdp2, AlgorithmKind::Gdp1] {
-            let report = run_and_print(spec.clone(), algorithm, SchedulerSpec::UniformRandom);
+            let estimate = run_and_print(label, &topology, algorithm, AdversaryKind::UniformRandom);
             if algorithm == AlgorithmKind::Gdp2 {
-                let starved: u64 = report.lockout.starvation_per_philosopher.iter().sum();
+                let lockout = &estimate.lockout;
+                let starved: u64 = lockout.starvation_per_philosopher.iter().sum();
                 println!(
                     "    -> starvation events: {starved}, mean min meals/philosopher: {:.1}, mean Jain index: {:.3}",
-                    report.lockout.min_meals_mean, report.lockout.fairness_mean
+                    lockout.min_meals_mean, lockout.fairness_mean
                 );
             }
         }
     }
 
     let mut group = c.benchmark_group("thm4_gdp2_lockout");
-    let hexagon = gdp_topology::builders::figure1_hexagon();
+    let hexagon = figure1_hexagon();
     group.bench_function("gdp2_hexagon_40k_steps", |b| {
         b.iter(|| simulate_meals(&hexagon, AlgorithmKind::Gdp2, 40_000, 5));
     });

@@ -12,16 +12,19 @@
 //! Monte-Carlo trials/sec serial vs parallel) is the baseline future PRs
 //! must not regress — see `docs/PERFORMANCE.md`.
 
-use gdp_adversary::{BlockingAdversary, BlockingPolicy, StubbornnessSchedule, TargetStarver};
+use gdp_adversary::{
+    AdversaryKind, BlockingAdversary, BlockingPolicy, StubbornnessSchedule, TargetStarver,
+};
 use gdp_algorithms::AlgorithmKind;
 use gdp_analysis::symmetry::{distinct_probability_lower_bound, empirical_distinct_probability};
 use gdp_bench::{print_header, run_and_print, wave_summary, MAX_STEPS, TRIALS};
-use gdp_core::{SchedulerSpec, TopologySpec};
 use gdp_picalc::{ChannelId, ChoiceRound, Guard};
 use gdp_runtime::run_for_meals;
 use gdp_sim::{Engine, SimConfig, StopCondition};
 use gdp_topology::builders::{
-    classic_ring, figure1_gallery, figure3_theta, ring_with_chord, ChordTarget,
+    classic_ring, complete_conflict, figure1_gallery, figure1_hexagon, figure1_ring12_chords,
+    figure1_ring9_chord, figure1_triangle, figure2_hexagon_with_pendant, figure3_theta,
+    ring_with_chord, ChordTarget,
 };
 use gdp_topology::PhilosopherId;
 use rand::SeedableRng;
@@ -68,14 +71,14 @@ fn main() {
 
     // ---------------------------------------------------------------- E1
     print_header("E1 | Figure 1 gallery: GDP1/GDP2 on the paper's four generalized systems");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
+    for (label, topology) in [
+        ("figure1-triangle-6/3", figure1_triangle()),
+        ("figure1-hexagon-12/6", figure1_hexagon()),
+        ("figure1-ring12-16/12", figure1_ring12_chords()),
+        ("figure1-ring9-10/9", figure1_ring9_chord()),
     ] {
         for algorithm in [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2] {
-            run_and_print(spec.clone(), algorithm, SchedulerSpec::UniformRandom);
+            run_and_print(label, &topology, algorithm, AdversaryKind::UniformRandom);
         }
     }
 
@@ -186,36 +189,42 @@ fn main() {
 
     // ---------------------------------------------------------------- E5
     print_header("E5 | Theorem 3: GDP1 progress probability across topologies and schedulers");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure2RingWithPendant,
-        TopologySpec::Figure3Theta,
-        TopologySpec::CompleteConflict(5),
+    for (label, topology) in [
+        ("figure1-triangle-6/3", figure1_triangle()),
+        ("figure2-hexagon+pendant", figure2_hexagon_with_pendant()),
+        ("figure3-theta-8/7", figure3_theta()),
+        ("complete-5", complete_conflict(5).unwrap()),
     ] {
-        for scheduler in [
-            SchedulerSpec::RoundRobin,
-            SchedulerSpec::UniformRandom,
-            SchedulerSpec::BlockingGlobal,
+        for adversary in [
+            AdversaryKind::RoundRobin,
+            AdversaryKind::UniformRandom,
+            AdversaryKind::Blocking,
         ] {
-            run_and_print(spec.clone(), AlgorithmKind::Gdp1, scheduler);
+            run_and_print(label, &topology, AlgorithmKind::Gdp1, adversary);
         }
     }
 
     // ---------------------------------------------------------------- E6
     print_header("E6 | Theorem 4: GDP2 lockout-freedom across the gallery");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
-        TopologySpec::Figure2RingWithPendant,
-        TopologySpec::Figure3Theta,
+    for (label, topology) in [
+        ("figure1-triangle-6/3", figure1_triangle()),
+        ("figure1-hexagon-12/6", figure1_hexagon()),
+        ("figure1-ring12-16/12", figure1_ring12_chords()),
+        ("figure1-ring9-10/9", figure1_ring9_chord()),
+        ("figure2-hexagon+pendant", figure2_hexagon_with_pendant()),
+        ("figure3-theta-8/7", figure3_theta()),
     ] {
-        let report = run_and_print(spec, AlgorithmKind::Gdp2, SchedulerSpec::UniformRandom);
-        let starved: u64 = report.lockout.starvation_per_philosopher.iter().sum();
+        let estimate = run_and_print(
+            label,
+            &topology,
+            AlgorithmKind::Gdp2,
+            AdversaryKind::UniformRandom,
+        );
+        let lockout = &estimate.lockout;
+        let starved: u64 = lockout.starvation_per_philosopher.iter().sum();
         println!(
             "    -> starvation events: {starved}, mean min meals: {:.1}, mean Jain: {:.3}",
-            report.lockout.min_meals_mean, report.lockout.fairness_mean
+            lockout.min_meals_mean, lockout.fairness_mean
         );
     }
 
@@ -223,11 +232,13 @@ fn main() {
     print_header("E7 | Tables 1-4 on the classic ring: all algorithms");
     for n in [6usize, 12, 24] {
         println!("--- ring size {n} ---");
+        let ring = classic_ring(n).unwrap();
         for algorithm in AlgorithmKind::all() {
             run_and_print(
-                TopologySpec::ClassicRing(n),
+                &format!("classic-ring-{n}"),
+                &ring,
                 algorithm,
-                SchedulerSpec::UniformRandom,
+                AdversaryKind::UniformRandom,
             );
         }
     }
@@ -263,7 +274,7 @@ fn main() {
         let mut system_meals = 0u64;
         for seed in 0..TRIALS {
             let mut engine = Engine::new(
-                gdp_topology::builders::figure1_triangle(),
+                figure1_triangle(),
                 algorithm.program(),
                 SimConfig::default().with_seed(seed),
             );
@@ -290,10 +301,7 @@ fn main() {
     for (name, topology) in [
         ("classic-ring-8", classic_ring(8).unwrap()),
         ("classic-ring-32", classic_ring(32).unwrap()),
-        (
-            "figure1-triangle",
-            gdp_topology::builders::figure1_triangle(),
-        ),
+        ("figure1-triangle", figure1_triangle()),
         ("figure3-theta", figure3_theta()),
     ] {
         let report = run_for_meals(topology, 200, std::hint::spin_loop);

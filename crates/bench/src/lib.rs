@@ -6,9 +6,10 @@
 //! The `report` binary (`cargo run -p gdp-bench --bin report --release`)
 //! regenerates all summary tables in one go.
 
-use gdp_adversary::TriangleWaveAdversary;
+use gdp_adversary::{AdversaryKind, TriangleWaveAdversary};
 use gdp_algorithms::AlgorithmKind;
-use gdp_core::{Experiment, ExperimentReport, SchedulerSpec, TopologySpec};
+use gdp_analysis::montecarlo::estimate_liveness;
+use gdp_analysis::{LivenessEstimate, RunMetrics, TrialConfig};
 use gdp_sim::{Engine, SimConfig, StopCondition};
 use gdp_topology::Topology;
 
@@ -31,20 +32,40 @@ pub fn print_header(title: &str) {
     println!("{}", "=".repeat(100));
 }
 
-/// Runs one experiment with the harness-wide trial budget and prints its
-/// summary row.
+/// Runs one `estimate_liveness` batch of [`TRIALS`] × [`MAX_STEPS`] (base
+/// seed 0, trial `i` scheduled by `adversary.build(0, i)`) plus one
+/// representative full-length run, and prints the paper-style summary row
+/// `label | algorithm | adversary | progress | lockout-free | first-meal p50 | meals/kstep`.
 pub fn run_and_print(
-    topology: TopologySpec,
+    label: &str,
+    topology: &Topology,
     algorithm: AlgorithmKind,
-    scheduler: SchedulerSpec,
-) -> ExperimentReport {
-    let report = Experiment::new(topology, algorithm)
-        .with_scheduler(scheduler)
-        .with_trials(TRIALS)
-        .with_max_steps(MAX_STEPS)
-        .run();
-    println!("{}", report.summary_row());
-    report
+    adversary: AdversaryKind,
+) -> LivenessEstimate {
+    let program = algorithm.program();
+    let estimate = estimate_liveness(
+        topology,
+        &program,
+        |trial| adversary.build(0, trial),
+        &TrialConfig::new(TRIALS, MAX_STEPS),
+    );
+    // The throughput column comes from one representative run.
+    let mut engine = Engine::new(topology.clone(), program, SimConfig::default().with_seed(0));
+    let outcome = engine.run(
+        &mut adversary.build(0, 0),
+        StopCondition::MaxSteps(MAX_STEPS),
+    );
+    println!(
+        "{:<26} {:<14} {:<22} progress={:>5.2} lockout_free={:>5.2} first_meal_p50={:>8.0} meals/kstep={:>7.2}",
+        label,
+        algorithm.name(),
+        adversary.name(),
+        estimate.progress.progress_fraction,
+        estimate.lockout.lockout_free_fraction,
+        estimate.progress.first_meal_p50,
+        RunMetrics::from_outcome(&outcome).throughput_per_kstep,
+    );
+    estimate
 }
 
 /// Outcome of a batch of runs under the Section 3 wave scheduler.

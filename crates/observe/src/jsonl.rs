@@ -11,9 +11,12 @@
 
 use crate::event::Event;
 
-/// Escapes a string for embedding in a JSON string literal (same dialect as
-/// the workspace's other hand-written JSON writers).
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: the one escaper
+/// behind every hand-written JSON writer in the workspace (traces, sweep
+/// reports, serve responses).  Control characters use four-digit JSON
+/// escapes (`\u0001`), never Rust's `\u{1}` form.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -4,6 +4,7 @@
 
 use crate::runner::CellResult;
 use crate::spec::ScenarioSpec;
+use gdp_observe::jsonl::escape_json;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -49,26 +50,10 @@ fn num(value: f64) -> String {
 
 /// Serializes a string as a JSON string literal.  Rust's `{:?}` is *almost*
 /// JSON but escapes control characters Rust-style (`\u{1}`) instead of
-/// JSON-style (`\u0001`), so user-supplied text (e.g. the sweep name) is
-/// escaped by hand.
+/// JSON-style (`\u0001`), so user-supplied text (e.g. the sweep name) goes
+/// through [`escape_json`].
 fn json_str(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", escape_json(value))
 }
 
 /// The CSV header row written by [`SweepReport::to_csv`].
@@ -448,11 +433,11 @@ mod tests {
     #[test]
     fn json_strings_escape_json_style_not_rust_style() {
         assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("a\nb\t"), "\"a\\nb\\t\"");
+        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape_json("a\nb\t\r"), "a\\nb\\t\\r");
         // Control characters must use four-digit JSON escapes, not Rust's
         // `\u{1}` form (which no JSON parser accepts).
-        assert_eq!(json_str("a\u{1}b"), "\"a\\u0001b\"");
+        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
     }
 
     #[test]

@@ -30,6 +30,21 @@ pub enum SeedPolicy {
 }
 
 impl SeedPolicy {
+    /// Parses a policy name, `per-cell` or `shared`, around the base seed
+    /// `base` (the `--seed-policy` flag of `gdp sweep` and the
+    /// `seed_policy` field of `gdp serve` requests).
+    ///
+    /// # Errors
+    ///
+    /// Any other name is reported as an invalid policy.
+    pub fn parse(name: &str, base: u64) -> Result<SeedPolicy, String> {
+        match name {
+            "per-cell" => Ok(SeedPolicy::PerCell(base)),
+            "shared" => Ok(SeedPolicy::Shared(base)),
+            other => Err(format!("invalid policy {other:?} (per-cell | shared)")),
+        }
+    }
+
     /// The base seed.
     #[must_use]
     pub fn base(self) -> u64 {

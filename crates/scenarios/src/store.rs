@@ -225,11 +225,12 @@ impl CellStore {
     ///
     /// Opening also **sweeps stale temp files**: a SIGKILLed writer leaves
     /// its `*.tmp.*` scratch file behind (invisible to lookups, but
-    /// accumulating forever), so every open deletes them.  A *live* writer
-    /// in another process whose temp file is swept out from under it is
-    /// still safe: [`save`](Self::save) falls back to the already-renamed
-    /// record when its rename loses the race (see the concurrent-writer
-    /// semantics on `save`).
+    /// accumulating forever), so every open deletes them — except the
+    /// opening process's own, which belong to its live writers (serve
+    /// workers open the store per request).  A live writer in *another*
+    /// process whose temp file is swept out from under it is still safe:
+    /// its rename finds the scratch file gone and it writes the bytes again
+    /// under a fresh scratch name, a bounded number of times.
     ///
     /// # Errors
     ///
@@ -358,12 +359,13 @@ impl CellStore {
     /// the address, so two writers racing on the same cell must *converge*,
     /// never error.  Temp names embed the pid **and** a process-wide
     /// sequence number, so concurrent saves never collide on scratch files;
-    /// both renames land the same bytes (last one wins, harmlessly).  If
-    /// this writer's rename fails — e.g. a concurrent [`open`](Self::open)
-    /// swept its temp file — the save still succeeds when the final name
-    /// already holds the byte-identical record the race partner renamed
-    /// into place.  A valid record with *different* bytes is a determinism
-    /// violation and fails loudly instead.
+    /// both renames land the same bytes (last one wins, harmlessly).  An
+    /// [`open`](Self::open) in another process that sweeps this writer's
+    /// temp file makes it rewrite under a fresh scratch name.  If the rename still
+    /// fails, the save succeeds when the final name already holds the
+    /// byte-identical record a race partner renamed into place.  A valid
+    /// record with *different* bytes is a determinism violation and fails
+    /// loudly instead.
     ///
     /// The wall-clock `steps_per_sec` field is not persisted (stored cells
     /// are always the byte-reproducible shape).
@@ -549,17 +551,21 @@ fn save_converging(
 /// Deletes every stale `*.tmp.*` scratch file directly under `dir`
 /// (non-recursively) and returns how many were removed.  Scratch files are
 /// only ever meaningful to the writer that created them; any still on disk
-/// at open time belonged to a writer that died before its rename.
+/// at open time belonged to a writer that died before its rename — unless
+/// its name carries this process's pid, in which case a live writer in
+/// this process is between its write and its rename, and it is kept.
 fn sweep_stale_tmp_files(dir: &Path) -> u64 {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
+    let own = format!(".tmp.{}.", std::process::id());
     let mut swept = 0;
     for entry in entries.flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         let is_file = entry.file_type().map(|t| t.is_file()).unwrap_or(false);
-        if is_file && name.contains(".tmp.") && std::fs::remove_file(entry.path()).is_ok() {
+        let stale = name.contains(".tmp.") && !name.contains(&own);
+        if is_file && stale && std::fs::remove_file(entry.path()).is_ok() {
             swept += 1;
         }
     }
@@ -570,27 +576,45 @@ fn sweep_stale_tmp_files(dir: &Path) -> u64 {
 /// process (serve workers, test threads): the pid alone cannot.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// How many scratch files [`write_atomically`] writes before giving up
+/// when opens in other processes keep sweeping them away before the
+/// rename.
+const SCRATCH_ATTEMPTS: u32 = 4;
+
 /// Writes `bytes` to `path` atomically: temp file in the target directory,
 /// flush, then rename over the final name.  The temp name embeds pid and a
 /// process-wide sequence number so concurrent writers never share scratch
 /// files (two threads interleaving writes into one temp file would tear
-/// it).
+/// it).  When the rename finds the scratch file gone — a
+/// [`CellStore::open`] in another process swept it as stale — the bytes
+/// are written again under a fresh name, up to [`SCRATCH_ATTEMPTS`] times
+/// in all.
 fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.flush()?;
-    }
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
+    let mut attempt = 1;
+    loop {
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(bytes)?;
+            file.flush()?;
+        }
+        match std::fs::rename(&tmp, path) {
+            Ok(()) => return Ok(()),
             Err(e)
+                if e.kind() == std::io::ErrorKind::NotFound
+                    && attempt < SCRATCH_ATTEMPTS
+                    && !tmp.exists() =>
+            {
+                attempt += 1;
+            }
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(e);
+            }
         }
     }
 }
@@ -1371,6 +1395,44 @@ mod tests {
             .filter(|name| !name.ends_with(".cell"))
             .collect();
         assert!(stray.is_empty(), "stray files: {stray:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Opens sweep stale `*.tmp.*` files but must spare the scratch files
+    /// of live writers in the same process (a serve worker opening the
+    /// store while another saves).  Saves and context notes racing a
+    /// stream of opens must land; each save starts from a missing record,
+    /// so no race partner's bytes can paper over a lost rename.
+    #[test]
+    fn concurrent_opens_never_break_a_live_writer() {
+        use std::sync::atomic::AtomicBool;
+        let spec = test_spec("open_race");
+        let dir = temp_store_dir("open_race");
+        let cells = run_sweep(&spec, &SweepOptions::quiet()).unwrap().cells;
+        let store = CellStore::open(&dir, &spec, None).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    CellStore::open(&dir, &spec, None).expect("open");
+                }
+            });
+            for round in 0..200u64 {
+                let cell = &cells[round as usize % cells.len()];
+                let _ = std::fs::remove_file(store.record_path(&cell.cell));
+                let saved = store.save(cell);
+                let noted = store.note_context("race", round, "context");
+                if saved.is_err() || noted.is_err() {
+                    done.store(true, Ordering::Relaxed);
+                }
+                saved.expect("save raced by an open");
+                noted.expect("context note raced by an open");
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        for cell in &cells {
+            assert!(matches!(store.lookup(&cell.cell), StoreLookup::Hit(_)));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

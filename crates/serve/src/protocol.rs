@@ -11,6 +11,7 @@
 //! not parsed, so they may nest (the per-cell `result` object, the metrics
 //! export).  See `docs/SERVE.md` for the full schema.
 
+use gdp_observe::jsonl::escape_json;
 use gdp_scenarios::{cell_json, CellResult, ScenarioSpec, SeedPolicy, StoreStats};
 use std::collections::BTreeMap;
 
@@ -319,19 +320,10 @@ fn parse_sweep(fields: &BTreeMap<String, JsonValue>) -> Result<SweepRequest, Str
         spec = spec.with_max_steps(steps);
     }
     let base_seed = field_u64(fields, "seed")?.unwrap_or(0);
+    let policy = field_str(fields, "seed_policy")?;
     spec = spec.with_seed_policy(
-        match field_str(fields, "seed_policy")?
-            .as_deref()
-            .unwrap_or("per-cell")
-        {
-            "per-cell" => SeedPolicy::PerCell(base_seed),
-            "shared" => SeedPolicy::Shared(base_seed),
-            other => {
-                return Err(format!(
-                    "field \"seed_policy\": invalid policy {other:?} (per-cell | shared)"
-                ))
-            }
-        },
+        SeedPolicy::parse(policy.as_deref().unwrap_or("per-cell"), base_seed)
+            .map_err(|e| format!("field \"seed_policy\": {e}"))?,
     );
     // Per-cell Monte-Carlo threads default to 1 under serve: the worker
     // pool is the parallelism axis, and results are bitwise identical for
@@ -355,24 +347,6 @@ fn parse_sweep(fields: &BTreeMap<String, JsonValue>) -> Result<SweepRequest, Str
 // Response lines
 // ---------------------------------------------------------------------------
 
-/// JSON-escapes a string body (the same escape set `gdp-observe`'s JSONL
-/// codec uses).
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The `{"type":"pong"}` liveness answer.
 #[must_use]
 pub fn pong_line() -> String {
@@ -392,7 +366,7 @@ pub fn bye_line() -> String {
 pub fn error_line(message: &str, retryable: bool) -> String {
     format!(
         "{{\"type\":\"error\",\"retryable\":{retryable},\"message\":\"{}\"}}",
-        json_escape(message)
+        escape_json(message)
     )
 }
 
@@ -402,7 +376,7 @@ pub fn sweep_start_line(spec: &ScenarioSpec, cells: usize, fingerprint: u64) -> 
     format!(
         "{{\"type\":\"sweep_start\",\"name\":\"{}\",\"cells\":{cells},\
          \"fingerprint\":\"{fingerprint:016x}\"}}",
-        json_escape(&spec.name)
+        escape_json(&spec.name)
     )
 }
 

@@ -4,10 +4,15 @@
 //! philosophers problem* (PODC 2001): randomized, symmetric, fully
 //! distributed resource allocation on arbitrary conflict topologies.
 //!
-//! This umbrella crate re-exports the whole workspace through
-//! [`gdp_core`]'s prelude and ships the `gdp` CLI binary (`gdp list`,
-//! `gdp run`, `gdp sweep`, `gdp merge`, `gdp check`, `gdp stress`,
-//! `gdp serve`).  See `README.md` for a tour, `docs/ARCHITECTURE.md` for
+//! This umbrella crate is the workspace's one facade: [`prelude`]
+//! re-exports the commonly used items of every member crate, and the
+//! crate ships the `gdp` CLI binary (`gdp list`, `gdp run`, `gdp sweep`,
+//! `gdp merge`, `gdp check`, `gdp stress`, `gdp serve`).  The scenarios
+//! catalog is the one naming layer for run-time selection
+//! (`TopologyFamily`, [`AlgorithmKind`](prelude::AlgorithmKind),
+//! [`AdversaryKind`](prelude::AdversaryKind)), and the paper's experiment
+//! tables run on the same `estimate_liveness` batch as `gdp sweep`.  See
+//! `README.md` for a tour, `docs/ARCHITECTURE.md` for
 //! the crate-by-crate data flow, `docs/SCENARIOS.md` for the
 //! scenario-sweep reference, `docs/VERIFICATION.md` for the exact model
 //! checker behind `gdp check`, `docs/RUNTIME.md` for the real-thread
@@ -29,8 +34,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
-pub use gdp_core::*;
+#![warn(missing_docs)]
 
 /// The scenario-sweep subsystem (see [`gdp_scenarios`] and
 /// `docs/SCENARIOS.md`): declarative *family × size × algorithm* grids over
@@ -42,7 +46,47 @@ pub use gdp_scenarios as scenarios;
 /// driven by `gdp serve`.
 pub use gdp_serve as serve;
 
-/// Re-export of the full prelude (see [`gdp_core::prelude`]).
+/// Convenience re-exports of the whole `gdp` crate family.
+///
+/// ```
+/// use gdp::prelude::*;
+///
+/// let topology = builders::classic_ring(5).unwrap();
+/// let mut engine = Engine::new(topology, Gdp1::new(), SimConfig::default());
+/// let outcome = engine.run(
+///     &mut RoundRobinAdversary::new(),
+///     StopCondition::FirstMeal { max_steps: 10_000 },
+/// );
+/// assert!(outcome.made_progress());
+/// ```
 pub mod prelude {
-    pub use gdp_core::prelude::*;
+    pub use gdp_topology::{
+        analysis as topology_analysis, builders, dot, ForkEnds, ForkId, PhilosopherId, Side,
+        Topology, TopologyBuilder, TopologyError,
+    };
+
+    pub use gdp_sim::{
+        Action, Adversary, DrawTape, Engine, EngineState, ForkCell, HungerModel, Phase,
+        PhilosopherView, Program, ProgramObservation, RoundRobinAdversary, RunOutcome, SimConfig,
+        StepCtx, StepRecord, StopCondition, StopReason, SystemView, Trace, UniformRandomAdversary,
+    };
+
+    pub use gdp_algorithms::{
+        baselines, AlgorithmKind, AnyProgram, AnyState, Gdp1, Gdp2, Lr1, Lr2,
+    };
+
+    pub use gdp_adversary::{
+        AdversaryKind, BlockingAdversary, BlockingPolicy, FairDriver, FairnessGuard,
+        ReplayAdversary, SchedulingPolicy, StubbornnessSchedule, TargetStarver,
+        TriangleWaveAdversary,
+    };
+
+    pub use gdp_analysis::{
+        metrics, montecarlo, montecarlo::estimate_liveness, state_is_safe, stats, symmetry,
+        LivenessEstimate, LockoutEstimate, ProgressEstimate, RunMetrics, TrialConfig,
+    };
+
+    pub use gdp_runtime::{run_for_meals, DiningTable, RunReport, Seat, SharedFork, TableStats};
+
+    pub use gdp_picalc::{ChannelId, ChoiceRound, Guard, ProcessId, RoundOutcome, Synchronization};
 }

@@ -828,19 +828,9 @@ fn scenario_spec_from_args(args: &mut Args) -> Result<ScenarioSpec, String> {
         "seed",
         &args.value_of("--seed")?.unwrap_or_else(|| "0".into()),
     )?;
-    spec.seed_policy = match args
-        .value_of("--seed-policy")?
-        .unwrap_or_else(|| "per-cell".into())
-        .as_str()
-    {
-        "per-cell" => SeedPolicy::PerCell(base_seed),
-        "shared" => SeedPolicy::Shared(base_seed),
-        other => {
-            return Err(format!(
-                "invalid seed policy {other:?}: expected per-cell or shared"
-            ))
-        }
-    };
+    let policy = args.value_of("--seed-policy")?;
+    spec.seed_policy = SeedPolicy::parse(policy.as_deref().unwrap_or("per-cell"), base_seed)
+        .map_err(|e| format!("--seed-policy: {e}"))?;
     Ok(spec)
 }
 

@@ -1,7 +1,7 @@
 //! Documentation hygiene: every relative Markdown link in the repo's docs
-//! resolves to a real file.  This is the test-side half of the CI
-//! doc-link check — broken cross-references between README, docs/ and the
-//! per-crate sources fail `cargo test` locally, not just in CI.
+//! resolves to a real file.  This is the repo's one doc-link check: it runs
+//! under `cargo test` (locally and in CI), so broken cross-references
+//! between README, docs/ and the per-crate sources fail the test step.
 
 use std::path::{Path, PathBuf};
 
