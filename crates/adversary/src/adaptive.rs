@@ -301,15 +301,14 @@ mod tests {
         let mut a = Engine::new(
             classic_ring(4).unwrap(),
             Lr1::new(),
-            SimConfig::default().with_seed(3).with_trace(true),
+            SimConfig::default().with_seed(3),
         );
         let mut adv = MaxWaitAdversary::new();
-        a.run(&mut adv, StopCondition::MaxSteps(2_000));
-        let t1 = a.trace().unwrap().clone();
+        let first: Vec<_> = (0..2_000).map(|_| a.step_with(&mut adv)).collect();
         adv.reset();
         a.reset();
-        a.run(&mut adv, StopCondition::MaxSteps(2_000));
-        assert_eq!(a.trace().unwrap(), &t1);
+        let second: Vec<_> = (0..2_000).map(|_| a.step_with(&mut adv)).collect();
+        assert_eq!(second, first);
     }
 
     #[test]
@@ -344,7 +343,7 @@ mod tests {
         let mut engine = Engine::new(
             classic_ring(5).unwrap(),
             Gdp2::new(),
-            SimConfig::default().with_seed(2).with_trace(true),
+            SimConfig::default().with_seed(2),
         );
         let mut adversary = GreedyConflictAdversary::new();
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(60_000));

@@ -773,7 +773,7 @@ mod tests {
         let mut engine = Engine::new(
             figure1_triangle(),
             Lr1::new(),
-            SimConfig::default().with_seed(0).with_trace(true),
+            SimConfig::default().with_seed(0),
         );
         let mut adversary = BlockingAdversary::global();
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(20_000));

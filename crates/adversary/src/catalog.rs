@@ -495,10 +495,11 @@ mod tests {
             let mut engine = Engine::new(
                 classic_ring(5).unwrap(),
                 Gdp1::new(),
-                SimConfig::default().with_seed(8).with_trace(true),
+                SimConfig::default().with_seed(8),
             );
-            engine.run(&mut *adv, StopCondition::MaxSteps(3_000));
-            engine.trace().unwrap().clone()
+            (0..3_000)
+                .map(|_| engine.step_with(&mut *adv))
+                .collect::<Vec<_>>()
         };
         assert_eq!(drive(kind.build(11, 2)), drive(kind.build(11, 2)));
         assert_ne!(drive(kind.build(11, 2)), drive(kind.build(11, 3)));

@@ -266,10 +266,11 @@ mod tests {
             let mut engine = Engine::new(
                 classic_ring(4).unwrap(),
                 Lr1::new(),
-                SimConfig::default().with_seed(9).with_trace(true),
+                SimConfig::default().with_seed(9),
             );
-            engine.run(adv, StopCondition::MaxSteps(6_000));
-            engine.trace().unwrap().clone()
+            (0..6_000)
+                .map(|_| engine.step_with(adv))
+                .collect::<Vec<_>>()
         };
         let mut a = CrashStopAdversary::new(1, 7);
         let mut b = CrashStopAdversary::new(1, 7);

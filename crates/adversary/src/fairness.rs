@@ -292,7 +292,7 @@ mod tests {
         let mut engine = Engine::new(
             classic_ring(5).unwrap(),
             Lr1::new(),
-            SimConfig::default().with_seed(3).with_trace(true),
+            SimConfig::default().with_seed(3),
         );
         let mut adversary = FairDriver::new(AlwaysZero, StubbornnessSchedule::constant(10));
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(5_000));

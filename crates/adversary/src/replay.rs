@@ -103,16 +103,11 @@ mod tests {
         let mut engine = Engine::new(
             classic_ring(3).unwrap(),
             NaiveLeftRight::new(),
-            SimConfig::default().with_seed(0).with_trace(true),
+            SimConfig::default().with_seed(0),
         );
         let mut adversary = ReplayAdversary::new(vec![p(2), p(2), p(0), p(1)]);
-        engine.run(&mut adversary, StopCondition::MaxSteps(7));
-        let scheduled: Vec<PhilosopherId> = engine
-            .trace()
-            .unwrap()
-            .records()
-            .iter()
-            .map(|r| r.philosopher)
+        let scheduled: Vec<PhilosopherId> = (0..7)
+            .map(|_| engine.step_with(&mut adversary).philosopher)
             .collect();
         assert_eq!(
             scheduled,

@@ -528,7 +528,7 @@ mod tests {
         let mut engine = Engine::new(
             topology.clone(),
             Lr1::new(),
-            SimConfig::default().with_seed(3).with_trace(true),
+            SimConfig::default().with_seed(3),
         );
         let mut adversary = TriangleWaveAdversary::new(&topology).unwrap();
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(WINDOW));
@@ -540,7 +540,7 @@ mod tests {
                 bound < 2_000,
                 "realized fairness bound {bound} unexpectedly large for the wave"
             );
-            let counts = engine.trace().unwrap().scheduling_counts();
+            let counts = outcome.scheduled_per_philosopher;
             assert!(counts.iter().all(|&c| c > 100), "{counts:?}");
         }
     }

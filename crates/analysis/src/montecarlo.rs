@@ -27,8 +27,8 @@
 //! fixed, the resulting estimates are bitwise-identical to a serial run
 //! regardless of the thread count (test-enforced below).
 
-use crate::explore::state_is_safe;
 use crate::stats;
+use gdp_mcheck::state_is_safe;
 use gdp_sim::{Adversary, Engine, Program, SimConfig, StopCondition};
 use gdp_topology::Topology;
 

@@ -27,10 +27,9 @@
 //!   restriction and crash-stop faults as enumerated crash branches (the
 //!   exact counterparts of the `gdp-adversary` catalog's `kbounded:<k>`
 //!   and `crash:<f>` families, see `docs/ADVERSARIES.md`);
-//! * [`seeded`] — the bounded per-seed-realization explorer that
-//!   `gdp_analysis::explore` delegates to (all scheduling nondeterminism,
-//!   one realization of the coin flips), built on the same
-//!   snapshot/restore machinery.
+//! * [`seeded`] — the bounded per-seed-realization explorer (all
+//!   scheduling nondeterminism, one realization of the coin flips), built
+//!   on the same snapshot/restore machinery.
 //!
 //! The checker certifies, for example, that GDP1's worst-case progress
 //! probability on the 5-ring is exactly 1 (Theorem 3 on a witness
@@ -42,6 +41,8 @@
 #![warn(missing_docs)]
 
 pub mod certificate;
+#[cfg(test)]
+mod explore;
 pub mod model;
 pub mod restricted;
 pub mod seeded;

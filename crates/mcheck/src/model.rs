@@ -323,9 +323,9 @@ pub(crate) fn is_target<P: Program>(engine: &Engine<P>, target: CheckTarget) -> 
 /// eating implies holding both forks.
 ///
 /// The single source of truth for the predicate the checker counts as
-/// `safety_violations`, the bounded explorers report as `safety_holds`,
+/// `safety_violations`, the bounded explorer reports as `safety_holds`,
 /// and the Monte-Carlo estimators surface as `unsafe_trials`
-/// (`gdp_analysis::state_is_safe` delegates here).
+/// (`gdp_analysis::state_is_safe` re-exports it).
 #[must_use]
 pub fn state_is_safe<P: Program>(engine: &Engine<P>) -> bool {
     engine.with_view(|view| {

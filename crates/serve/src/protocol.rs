@@ -253,6 +253,11 @@ const SWEEP_FIELDS: &[&str] = &[
     "exact_check",
 ];
 
+/// The longest request line the server buffers, in bytes: far above any
+/// real request.  A client that sends more without a newline gets one
+/// non-retryable `error` line and the connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// Parses one request line.
 ///
 /// # Errors

@@ -181,7 +181,18 @@ fn handle_connection(reader: TcpStream, state: &Arc<ServerState>) {
     let mut buffered: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     'connection: loop {
-        while let Some(newline) = buffered.iter().position(|&b| b == b'\n') {
+        loop {
+            let newline = buffered.iter().position(|&b| b == b'\n');
+            // Cap the per-connection buffer: a line that never ends must
+            // not grow it without bound.
+            if newline.unwrap_or(buffered.len()) > protocol::MAX_REQUEST_BYTES {
+                let message = format!("request line exceeds {} bytes", protocol::MAX_REQUEST_BYTES);
+                let _ = writeln!(writer, "{}", protocol::error_line(&message, false));
+                break 'connection;
+            }
+            let Some(newline) = newline else {
+                break;
+            };
             let raw: Vec<u8> = buffered.drain(..=newline).collect();
             let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
             let line = line.trim();

@@ -37,8 +37,8 @@ pub trait Adversary {
     /// scheduled infinitely often in any infinite run it produces).
     ///
     /// This is *metadata for reporting*: experiment harnesses print it, and
-    /// the fairness of concrete finite runs is additionally verified from the
-    /// trace via [`Trace::bounded_fairness`](crate::Trace::bounded_fairness).
+    /// the fairness of concrete finite runs is additionally certified by
+    /// [`RunOutcome::fairness_bound`](crate::RunOutcome::fairness_bound).
     fn is_fair_by_construction(&self) -> bool {
         true
     }

@@ -6,9 +6,8 @@ use crate::draws::DrawTape;
 use crate::fork::ForkCell;
 use crate::hash::fingerprint64;
 use crate::outcome::{RunOutcome, StopCondition, StopReason};
-use crate::program::{Action, Phase, Program, StepCtx, StepRandomness};
+use crate::program::{Action, Phase, Program, StepCtx, StepRandomness, StepRecord};
 use crate::snapshot::EngineState;
-use crate::trace::{StepRecord, Trace};
 use crate::view::{make_view, Holding, PhilosopherView, SystemView};
 use gdp_observe::{Event, Log2Histogram, SharedSink};
 use gdp_topology::{ForkId, PhilosopherId, Topology};
@@ -26,7 +25,7 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// Determinism: two engines constructed with the same topology, program,
 /// configuration (including seed) and driven by the same adversary produce
-/// identical traces.  The regression tests of `gdp-algorithms` rely on this.
+/// identical step records.  The regression tests of `gdp-algorithms` rely on this.
 ///
 /// Performance: the engine keeps one persistent [`PhilosopherView`] buffer
 /// that is updated *incrementally* — an atomic step can only change the
@@ -52,7 +51,6 @@ pub struct Engine<P: Program> {
     max_scheduling_gap: u64,
     hungry_since: Vec<Option<u64>>,
     waiting_times: Vec<Vec<u64>>,
-    trace: Option<Trace>,
     /// Step at which each philosopher last *started* eating — feeds the
     /// inter-meal histogram.
     last_meal_start: Vec<Option<u64>>,
@@ -64,7 +62,7 @@ pub struct Engine<P: Program> {
     inter_meal_hist: Log2Histogram,
     /// Optional structured-event sink (see `gdp-observe`).  `None` — the
     /// default — costs one branch per step; this is *not* captured by
-    /// snapshots and survives `reset`/`restore`, like the trace config.
+    /// snapshots and survives `reset`/`restore`, like the rest of the config.
     sink: Option<SharedSink>,
     /// Persistent adversary-facing views, kept in sync incrementally:
     /// `views[i]` always equals the view rebuilt from scratch for
@@ -78,7 +76,6 @@ impl<P: Program> Engine<P> {
         let n = topology.num_philosophers();
         let k = topology.num_forks();
         let nr_range = config.effective_nr_range(k);
-        let trace = config.record_trace.then(|| Trace::new(n));
         let mut engine = Engine {
             nr_range,
             forks: (0..k).map(|_| ForkCell::new()).collect(),
@@ -93,7 +90,6 @@ impl<P: Program> Engine<P> {
             max_scheduling_gap: 0,
             hungry_since: vec![None; n],
             waiting_times: vec![Vec::new(); n],
-            trace,
             last_meal_start: vec![None; n],
             first_meal_hist: Log2Histogram::new(),
             inter_meal_hist: Log2Histogram::new(),
@@ -174,12 +170,6 @@ impl<P: Program> Engine<P> {
     #[must_use]
     pub fn waiting_times(&self, philosopher: PhilosopherId) -> &[u64] {
         &self.waiting_times[philosopher.index()]
-    }
-
-    /// The recorded trace, if trace recording was enabled in the config.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Attaches (or with `None`, detaches) a structured-event sink.
@@ -422,7 +412,7 @@ impl<P: Program> Engine<P> {
 
         // Structured-event emission (disabled: one branch).  The logical
         // clock is the step index, so the event stream is as deterministic
-        // as the trace.
+        // as the step records.
         if let Some(sink) = &self.sink {
             let clock = self.step_count;
             let actor = philosopher.raw();
@@ -463,9 +453,6 @@ impl<P: Program> Engine<P> {
             action,
             phase_after,
         };
-        if let Some(trace) = &mut self.trace {
-            trace.push(record);
-        }
         self.step_count += 1;
         record
     }
@@ -569,7 +556,6 @@ impl<P: Program> Engine<P> {
         self.last_meal_start.iter_mut().for_each(|l| *l = None);
         self.first_meal_hist.clear();
         self.inter_meal_hist.clear();
-        self.trace = self.config.record_trace.then(|| Trace::new(n));
         for idx in 0..n {
             self.refresh_view(idx);
         }
@@ -578,7 +564,7 @@ impl<P: Program> Engine<P> {
     /// Captures the engine's semantic state — fork cells, private program
     /// states, RNG position and step count — as an [`EngineState`].
     ///
-    /// Statistics (meal counts, waiting times, the trace) are *not*
+    /// Statistics (meal counts, waiting times, histograms) are *not*
     /// captured; see the [`crate::snapshot`] module docs for why.
     #[must_use]
     pub fn snapshot(&self) -> EngineState<P> {
@@ -606,7 +592,7 @@ impl<P: Program> Engine<P> {
     /// [`step_philosopher`](Self::step_philosopher) sequence replays
     /// bit-for-bit what it would have produced from the snapshot point.
     /// Run statistics — meal
-    /// counts, scheduling/fairness accounting, waiting times and the trace —
+    /// counts, scheduling/fairness accounting, waiting times and histograms —
     /// restart from zero, because a snapshot deliberately does not capture
     /// them.
     ///
@@ -641,7 +627,6 @@ impl<P: Program> Engine<P> {
         self.last_meal_start.iter_mut().for_each(|l| *l = None);
         self.first_meal_hist.clear();
         self.inter_meal_hist.clear();
-        self.trace = self.config.record_trace.then(|| Trace::new(n));
         for idx in 0..n {
             self.refresh_view(idx);
         }
@@ -821,8 +806,18 @@ mod tests {
         Engine::new(
             classic_ring(n).unwrap(),
             ToyProgram,
-            SimConfig::default().with_seed(seed).with_trace(true),
+            SimConfig::default().with_seed(seed),
         )
+    }
+
+    /// Executes `k` adversary-driven steps and collects their records —
+    /// exactly the steps `run(.., MaxSteps(k))` executes.
+    fn records(
+        e: &mut Engine<ToyProgram>,
+        adversary: &mut impl Adversary,
+        k: usize,
+    ) -> Vec<StepRecord> {
+        (0..k).map(|_| e.step_with(adversary)).collect()
     }
 
     #[test]
@@ -844,6 +839,25 @@ mod tests {
         // Toy grabs both forks atomically, so with round-robin everyone eats.
         assert!(outcome.everyone_ate());
         assert_eq!(outcome.starved(), vec![]);
+    }
+
+    #[test]
+    fn fairness_bound_requires_everyone_scheduled() {
+        let mut e = engine(3, 0);
+        let idle = e.run(&mut RoundRobinAdversary::new(), StopCondition::MaxSteps(0));
+        assert_eq!(idle.fairness_bound, None, "an empty run certifies nothing");
+        e.step_philosopher(PhilosopherId::new(0));
+        e.step_philosopher(PhilosopherId::new(1));
+        let outcome = e.run(&mut RoundRobinAdversary::new(), StopCondition::MaxSteps(0));
+        assert_eq!(outcome.steps, 2);
+        assert_eq!(outcome.scheduled_per_philosopher, vec![1, 1, 0]);
+        assert_eq!(
+            outcome.fairness_bound, None,
+            "philosopher 2 was never scheduled"
+        );
+        e.step_philosopher(PhilosopherId::new(2));
+        let outcome = e.run(&mut RoundRobinAdversary::new(), StopCondition::MaxSteps(0));
+        assert_eq!(outcome.fairness_bound, Some(3));
     }
 
     #[test]
@@ -892,15 +906,10 @@ mod tests {
     fn determinism_same_seed_same_trace() {
         let mut a = engine(5, 42);
         let mut b = engine(5, 42);
-        a.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(500),
+        assert_eq!(
+            records(&mut a, &mut RoundRobinAdversary::new(), 500),
+            records(&mut b, &mut RoundRobinAdversary::new(), 500)
         );
-        b.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(500),
-        );
-        assert_eq!(a.trace().unwrap(), b.trace().unwrap());
         assert_eq!(a.state_fingerprint(), b.state_fingerprint());
     }
 
@@ -921,56 +930,32 @@ mod tests {
         // model to make sure seeds reach the philosophers.
         let config = SimConfig::default()
             .with_seed(1)
-            .with_hunger(crate::HungerModel::Bernoulli(0.5))
-            .with_trace(true);
+            .with_hunger(crate::HungerModel::Bernoulli(0.5));
         let mut c = Engine::new(classic_ring(5).unwrap(), ToyProgram, config.clone());
         let mut d = Engine::new(classic_ring(5).unwrap(), ToyProgram, config.with_seed(99));
-        c.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(500),
+        assert_ne!(
+            records(&mut c, &mut RoundRobinAdversary::new(), 500),
+            records(&mut d, &mut RoundRobinAdversary::new(), 500)
         );
-        d.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(500),
-        );
-        assert_ne!(c.trace().unwrap(), d.trace().unwrap());
     }
 
     #[test]
     fn reset_replays_identically() {
         let mut e = engine(4, 5);
-        e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(300),
-        );
-        let first_trace = e.trace().unwrap().clone();
+        let first = records(&mut e, &mut RoundRobinAdversary::new(), 300);
         let fp1 = e.state_fingerprint();
         e.reset();
-        e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(300),
-        );
-        assert_eq!(e.trace().unwrap(), &first_trace);
+        assert_eq!(records(&mut e, &mut RoundRobinAdversary::new(), 300), first);
         assert_eq!(e.state_fingerprint(), fp1);
     }
 
     #[test]
     fn reset_with_new_seed_changes_randomized_behaviour() {
-        let config = SimConfig::default()
-            .with_hunger(crate::HungerModel::Bernoulli(0.3))
-            .with_trace(true);
+        let config = SimConfig::default().with_hunger(crate::HungerModel::Bernoulli(0.3));
         let mut e = Engine::new(classic_ring(4).unwrap(), ToyProgram, config);
-        e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(400),
-        );
-        let t1 = e.trace().unwrap().clone();
+        let first = records(&mut e, &mut RoundRobinAdversary::new(), 400);
         e.reset_with_seed(1234);
-        e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(400),
-        );
-        assert_ne!(e.trace().unwrap(), &t1);
+        assert_ne!(records(&mut e, &mut RoundRobinAdversary::new(), 400), first);
         assert_eq!(e.step_count(), 400);
     }
 
@@ -1205,10 +1190,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let mut e = engine(5, 7);
         e.set_event_sink(Some(sink.clone()));
-        e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(400),
-        );
+        let steps = records(&mut e, &mut RoundRobinAdversary::new(), 400);
         let events = sink.take();
         let schedules: Vec<&Event> = events
             .iter()
@@ -1222,14 +1204,12 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let from_trace: Vec<(u64, u32)> = e
-            .trace()
-            .unwrap()
-            .meals_started()
+        let from_records: Vec<(u64, u32)> = steps
             .iter()
-            .map(|&(step, p)| (step, p.raw()))
+            .filter(|r| r.action == Action::StartEating)
+            .map(|r| (r.step, r.philosopher.raw()))
             .collect();
-        assert_eq!(meal_starts, from_trace, "meal events mirror the trace");
+        assert_eq!(meal_starts, from_records, "meal events mirror the records");
         // Clocks are non-decreasing step indices.
         let clocks: Vec<u64> = events.iter().map(Event::clock).collect();
         assert!(clocks.windows(2).all(|w| w[0] <= w[1]));
@@ -1249,10 +1229,7 @@ mod tests {
     #[test]
     fn meal_histograms_are_step_denominated_and_cleared_on_reset() {
         let mut e = engine(5, 3);
-        e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(2_000),
-        );
+        let steps = records(&mut e, &mut RoundRobinAdversary::new(), 2_000);
         let eaters = e
             .topology()
             .philosopher_ids()
@@ -1262,7 +1239,10 @@ mod tests {
         // One first-meal sample per philosopher that ever ate; every later
         // meal start is an inter-meal sample.
         assert_eq!(e.first_meal_histogram().total(), eaters);
-        let total_starts = e.trace().unwrap().meals_started().len() as u64;
+        let total_starts = steps
+            .iter()
+            .filter(|r| r.action == Action::StartEating)
+            .count() as u64;
         assert_eq!(e.inter_meal_histogram().total(), total_starts - eaters);
         // The earliest possible first meal needs a few steps, so the p50
         // estimate is positive and below the step budget.

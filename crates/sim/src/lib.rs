@@ -26,8 +26,8 @@
 //!   [`SystemView`] access, plus the built-in fair schedulers
 //!   ([`RoundRobinAdversary`], [`UniformRandomAdversary`]).
 //! * [`Engine`] — drives the interleaving: repeatedly asks the adversary for
-//!   a philosopher, executes that philosopher's next atomic step, records
-//!   the [`Trace`], and evaluates [`StopCondition`]s.
+//!   a philosopher, executes that philosopher's next atomic step, returns
+//!   its [`StepRecord`], and evaluates [`StopCondition`]s.
 //! * [`EngineState`] — first-class snapshots of the semantic state
 //!   (forks, private program states, RNG, step counter) with `O(n + k)`
 //!   [`Engine::restore`], plus the relabelled-fingerprint canonical
@@ -112,7 +112,6 @@ mod hunger;
 mod outcome;
 mod program;
 pub mod snapshot;
-mod trace;
 mod view;
 
 pub use adversary::{Adversary, RoundRobinAdversary, UniformRandomAdversary};
@@ -123,7 +122,6 @@ pub use fork::{ForkCell, UsageStamp};
 pub use hash::fingerprint64;
 pub use hunger::HungerModel;
 pub use outcome::{RunOutcome, StopCondition, StopReason};
-pub use program::{Action, Phase, Program, ProgramObservation, StepCtx};
+pub use program::{Action, Phase, Program, ProgramObservation, StepCtx, StepRecord};
 pub use snapshot::{EngineState, RelabelScratch};
-pub use trace::{StepRecord, Trace};
 pub use view::{Holding, PhilosopherView, SystemView};

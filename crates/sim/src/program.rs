@@ -85,8 +85,8 @@ impl fmt::Display for Phase {
     }
 }
 
-/// What a philosopher did in one atomic step.  Recorded in the
-/// [`Trace`](crate::Trace) and visible to adversaries through the
+/// What a philosopher did in one atomic step.  Returned in each
+/// [`StepRecord`] and visible to adversaries through the
 /// [`SystemView`](crate::SystemView).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -159,6 +159,19 @@ impl Action {
             Action::TakeFirst { success: true, .. } | Action::TakeSecond { success: true, .. }
         )
     }
+}
+
+/// One scheduled atomic step, as returned by every `Engine::step_*` call.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StepRecord {
+    /// Global step index (0-based).
+    pub step: u64,
+    /// The philosopher that was scheduled.
+    pub philosopher: PhilosopherId,
+    /// The atomic action it performed.
+    pub action: Action,
+    /// Its phase after the step.
+    pub phase_after: Phase,
 }
 
 /// What an adversary (and the metrics layer) may observe about a

@@ -10,18 +10,17 @@
 //! * the philosophers' randomness (the RNG stream position), and
 //! * the global step counter.
 //!
-//! Run *statistics* (meal counts, waiting times, traces, fairness
+//! Run *statistics* (meal counts, waiting times, histograms, fairness
 //! accounting) are deliberately **not** captured: two executions that reach
 //! the same `EngineState` are indistinguishable to every philosopher and to
 //! the shared forks, regardless of how they got there.  Restoring a
 //! snapshot therefore resets the statistics, as documented on
 //! [`Engine::restore`](crate::Engine::restore).
 //!
-//! Snapshots replace the replay-per-expansion scheme the state-space
-//! explorer used before: instead of re-simulating an entire decision prefix
-//! to revisit a state (`O(depth)` per expansion), exploration stores the
-//! `EngineState` and restores it in `O(n + k)`.  `gdp-mcheck` builds its
-//! exact MDP on the same primitive.
+//! State-space exploration stores the `EngineState` of every queued state
+//! and restores it in `O(n + k)` instead of re-simulating the decision
+//! prefix that reached it (`O(depth)` per expansion).  `gdp-mcheck` builds
+//! both its seeded explorer and its exact MDP on this primitive.
 //!
 //! The **canonical encoding** half of this module is
 //! [`EngineState::fingerprint`] (identical to

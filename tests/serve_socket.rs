@@ -10,7 +10,10 @@
 //! * the **kill -9 / restart cycle** — a server SIGKILLed mid-sweep loses
 //!   at most the cells in flight; a fresh server on the same store resumes
 //!   (cells already streamed come back as hits) with **zero quarantines**
-//!   from the dead server's own scratch files, which the restart sweeps.
+//!   from the dead server's own scratch files, which the restart sweeps;
+//! * the **request-line cap** — a client that never sends `\n` gets one
+//!   non-retryable error and is disconnected, and the server keeps serving
+//!   fresh connections.
 
 use gdp_scenarios::stable_digest64;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -207,6 +210,42 @@ fn second_submission_is_served_entirely_from_the_store_byte_for_byte() {
     assert_eq!(field_u64(&metrics, "serve.store_hits"), CELLS);
     assert_eq!(field_u64(&metrics, "serve.cells_computed"), CELLS);
     assert_eq!(field_u64(&metrics, "serve.cells_streamed"), 2 * CELLS);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn an_unterminated_oversized_request_is_rejected_and_the_server_keeps_serving() {
+    let work = temp_dir("oversized");
+    let server = Server::start(&work.join("store"));
+    let addr = server.client.peer_addr().unwrap();
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream
+    };
+
+    let mut flood = connect();
+    flood
+        .write_all(&vec![b'x'; gdp_serve::protocol::MAX_REQUEST_BYTES + 1])
+        .unwrap();
+    let mut responses = BufReader::new(flood);
+    let mut error = String::new();
+    responses.read_line(&mut error).unwrap();
+    assert!(error.contains("\"type\":\"error\""), "{error}");
+    assert!(error.contains("\"retryable\":false"), "{error}");
+    let mut rest = String::new();
+    responses.read_to_string(&mut rest).unwrap();
+    assert_eq!(rest, "", "the server closes the flooding connection");
+
+    let mut fresh = connect();
+    fresh.write_all(b"{\"type\": \"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    BufReader::new(fresh).read_line(&mut pong).unwrap();
+    assert_eq!(pong.trim_end(), "{\"type\":\"pong\"}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&work);
