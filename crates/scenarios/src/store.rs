@@ -208,7 +208,7 @@ enum RecordReject {
 /// Records of *different* spec fingerprints coexist in one directory
 /// without interference (the fingerprint is part of every address), so
 /// shards — and even unrelated sweeps — may share a store.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CellStore {
     root: PathBuf,
     cells_dir: PathBuf,
@@ -221,16 +221,17 @@ pub struct CellStore {
 impl CellStore {
     /// Opens (creating if needed) the store at `dir` for the given spec and
     /// exact-check budget, and records the spec's store context alongside
-    /// the records for debuggability.
+    /// the records for debuggability: [`open_bare`](Self::open_bare)
+    /// followed by [`for_spec`](Self::for_spec).
     ///
     /// Opening also **sweeps stale temp files**: a SIGKILLed writer leaves
     /// its `*.tmp.*` scratch file behind (invisible to lookups, but
     /// accumulating forever), so every open deletes them — except the
-    /// opening process's own, which belong to its live writers (serve
-    /// workers open the store per request).  A live writer in *another*
-    /// process whose temp file is swept out from under it is still safe:
-    /// its rename finds the scratch file gone and it writes the bytes again
-    /// under a fresh scratch name, a bounded number of times.
+    /// opening process's own, which belong to its live writers.  A live
+    /// writer in *another* process whose temp file is swept out from under
+    /// it is still safe: its rename finds the scratch file gone and it
+    /// writes the bytes again under a fresh scratch name, a bounded number
+    /// of times.
     ///
     /// # Errors
     ///
@@ -240,32 +241,22 @@ impl CellStore {
         spec: &ScenarioSpec,
         exact_check: Option<usize>,
     ) -> std::io::Result<CellStore> {
-        let context = spec.store_context(exact_check);
-        let fingerprint = stable_digest64(context.as_bytes());
-        let store = CellStore::open_with_fingerprint(dir, fingerprint)?;
-        // A per-fingerprint context note: deterministic bytes, atomically
-        // written, so concurrent shards racing on it are harmless.
-        store.note_context("spec", fingerprint, &context)?;
-        Ok(store)
+        CellStore::open_bare(dir)?.for_spec(spec, exact_check)
     }
 
     /// Opens (creating if needed) the store at `dir` **without** a sweep
-    /// spec.  A bare handle addresses MC cell records under the null
-    /// fingerprint, so it is only meant for certificate records (whose
-    /// methods take an explicit check fingerprint) and for lifecycle
-    /// tooling — `gdp check --store`, `gdp store gc`, `gdp store compact`.
+    /// spec, sweeping stale temp files as [`open`](Self::open) does.  A
+    /// bare handle addresses MC cell records under the null fingerprint,
+    /// so it is meant for certificate records (whose methods take an
+    /// explicit check fingerprint), for lifecycle tooling — `gdp check
+    /// --store`, `gdp store gc`, `gdp store compact` — and as the
+    /// long-lived handle `gdp serve` derives its per-request handles from
+    /// with [`for_spec`](Self::for_spec).
     ///
     /// # Errors
     ///
     /// Propagates directory-creation I/O errors.
     pub fn open_bare(dir: impl AsRef<Path>) -> std::io::Result<CellStore> {
-        CellStore::open_with_fingerprint(dir, 0)
-    }
-
-    fn open_with_fingerprint(
-        dir: impl AsRef<Path>,
-        fingerprint: u64,
-    ) -> std::io::Result<CellStore> {
         let root = dir.as_ref().to_path_buf();
         let cells_dir = root.join("cells");
         let certs_dir = root.join("certs");
@@ -281,8 +272,34 @@ impl CellStore {
             cells_dir,
             certs_dir,
             quarantine_dir,
-            fingerprint,
+            fingerprint: 0,
             swept_tmp,
+        })
+    }
+
+    /// A handle on the same directory that addresses MC cell records under
+    /// the given spec's fingerprint, writing the spec's context note if it
+    /// is missing.  Unlike [`open`](Self::open) it lists no directory and
+    /// sweeps no temp file, so a server can derive one per request from a
+    /// handle opened once.  [`swept_tmp`](Self::swept_tmp) carries over
+    /// from `self`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the context note's I/O errors.
+    pub fn for_spec(
+        &self,
+        spec: &ScenarioSpec,
+        exact_check: Option<usize>,
+    ) -> std::io::Result<CellStore> {
+        let context = spec.store_context(exact_check);
+        let fingerprint = stable_digest64(context.as_bytes());
+        // A per-fingerprint context note: deterministic bytes, atomically
+        // written, so concurrent shards racing on it are harmless.
+        self.note_context("spec", fingerprint, &context)?;
+        Ok(CellStore {
+            fingerprint,
+            ..self.clone()
         })
     }
 
@@ -310,8 +327,8 @@ impl CellStore {
         Ok(())
     }
 
-    /// How many stale `*.tmp.*` files this handle's open swept away
-    /// (leftovers of SIGKILLed writers; see [`open`](Self::open)).
+    /// How many stale `*.tmp.*` files the open this handle came from swept
+    /// away (leftovers of SIGKILLed writers; see [`open`](Self::open)).
     #[must_use]
     pub fn swept_tmp(&self) -> u64 {
         self.swept_tmp
@@ -321,6 +338,12 @@ impl CellStore {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// The store's root directory.
+    #[must_use]
+    pub fn root(&self) -> &Path {
+        &self.root
     }
 
     /// The quarantine directory (rejected records end up here).
@@ -1399,8 +1422,8 @@ mod tests {
     }
 
     /// Opens sweep stale `*.tmp.*` files but must spare the scratch files
-    /// of live writers in the same process (a serve worker opening the
-    /// store while another saves).  Saves and context notes racing a
+    /// of live writers in the same process (one thread opening the store
+    /// while another saves).  Saves and context notes racing a
     /// stream of opens must land; each save starts from a missing record,
     /// so no race partner's bytes can paper over a lost rename.
     #[test]
@@ -1620,6 +1643,38 @@ mod tests {
         // A second open has nothing left to sweep.
         assert_eq!(CellStore::open(&dir, &spec, None).unwrap().swept_tmp(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn for_spec_on_a_bare_handle_matches_open_without_sweeping() {
+        let spec = test_spec("for_spec");
+        let (dir_open, dir_derived) = (temp_store_dir("for_spec_a"), temp_store_dir("for_spec_b"));
+        let opened = CellStore::open(&dir_open, &spec, Some(500)).unwrap();
+        let bare = CellStore::open_bare(&dir_derived).unwrap();
+        let planted = dir_derived.join("cells").join("x.tmp.999999.0");
+        std::fs::write(&planted, b"a foreign writer's scratch").unwrap();
+        let derived = bare.for_spec(&spec, Some(500)).unwrap();
+        assert!(planted.exists(), "for_spec must not sweep temp files");
+        assert_eq!(derived.fingerprint(), opened.fingerprint());
+        assert_ne!(derived.fingerprint(), bare.fingerprint());
+        let relative = |store: &CellStore, path: PathBuf| {
+            path.strip_prefix(store.root()).unwrap().to_path_buf()
+        };
+        assert_eq!(
+            relative(&derived, derived.record_path("ring/n4/GDP1")),
+            relative(&opened, opened.record_path("ring/n4/GDP1"))
+        );
+        assert_eq!(
+            relative(&derived, derived.cert_record_path(7, "ring/n4/GDP1")),
+            relative(&opened, opened.cert_record_path(7, "ring/n4/GDP1"))
+        );
+        let note = format!("spec-{:016x}.context", opened.fingerprint());
+        assert_eq!(
+            std::fs::read(dir_derived.join(&note)).unwrap(),
+            std::fs::read(dir_open.join(&note)).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir_open);
+        let _ = std::fs::remove_dir_all(&dir_derived);
     }
 
     #[test]

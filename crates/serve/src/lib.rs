@@ -43,4 +43,4 @@ pub mod signal;
 pub use metrics::ServeMetrics;
 pub use pool::{QueueFull, WorkerPool};
 pub use protocol::{parse_request, Request, SweepRequest};
-pub use server::{run_serve, ServeConfig};
+pub use server::{run_serve, ServeConfig, MAX_CONNECTIONS};

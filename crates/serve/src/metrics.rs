@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     connections: AtomicU64,
+    connection_rejections: AtomicU64,
     requests: AtomicU64,
     sweeps: AtomicU64,
     cells_streamed: AtomicU64,
@@ -42,6 +43,12 @@ impl ServeMetrics {
     /// Counts one accepted TCP connection.
     pub fn note_connection(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one connection closed unserved because the server was at its
+    /// connection cap.
+    pub fn note_connection_rejection(&self) {
+        self.connection_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one parsed request line (of any type).
@@ -83,6 +90,10 @@ impl ServeMetrics {
         let mut registry = MetricsRegistry::new();
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         registry.counter_add("serve.connections", load(&self.connections));
+        registry.counter_add(
+            "serve.connection_rejections",
+            load(&self.connection_rejections),
+        );
         registry.counter_add("serve.requests", load(&self.requests));
         registry.counter_add("serve.sweeps", load(&self.sweeps));
         registry.counter_add("serve.cells_streamed", load(&self.cells_streamed));

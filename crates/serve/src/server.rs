@@ -3,9 +3,12 @@
 //!
 //! ## Request pipeline (one `sweep` request)
 //!
-//! 1. **Open** the shared [`CellStore`] for the request's spec (per-request
-//!    open: the store is content-addressed by spec fingerprint, so
-//!    different specs coexist in one directory).
+//! 1. **Address** the store for the request's spec: the server opens its
+//!    [`CellStore`] once at startup ([`CellStore::open_bare`], which sweeps
+//!    stale temp files), and each request derives a spec-addressed handle
+//!    from it with [`CellStore::for_spec`], which lists no directory.  The
+//!    store is content-addressed by spec fingerprint, so different specs
+//!    coexist in one directory.
 //! 2. **Look up** every cell of the deterministic grid expansion, in
 //!    order.  Hits are answered straight from the store; misses (and
 //!    quarantined records) become compute jobs.
@@ -17,15 +20,24 @@
 //!    order are buffered until their position is due), then the summary
 //!    footer whose `digest` lets the client verify the stream it received.
 //!
+//! ## Accepting
+//!
+//! The accept loop blocks in `accept`.  Each accepted connection gets a
+//! thread of its own, up to [`MAX_CONNECTIONS`] at once; past the cap the
+//! connection gets one retryable `error` line and is closed.
+//!
 //! ## Shutdown
 //!
 //! SIGTERM/SIGINT (via [`signal`]) or a `shutdown` request stop the accept
-//! loop; open connections finish their in-flight requests, the pool drains
-//! every admitted job (each saves its cell to the store — nothing admitted
-//! is abandoned), and the process exits 0.  A SIGKILLed server is the
-//! crash-safety case the store already handles: completed cells persist,
-//! the cell in flight is lost, and stale scratch files are swept on the
-//! next open.
+//! loop.  Both wake the blocked `accept` with a loopback connection to the
+//! listener's own address: the `shutdown` request at once, a signal from a
+//! small thread that polls the signal flag every `SIGNAL_POLL`.  The
+//! woken accept drops that connection and stops.  Open connections finish
+//! their in-flight requests, the pool drains every admitted job (each saves
+//! its cell to the store — nothing admitted is abandoned), and the process
+//! exits 0.  A SIGKILLed server is the crash-safety case the store already
+//! handles: completed cells persist, the cell in flight is lost, and stale
+//! scratch files are swept when the next server starts.
 
 use crate::metrics::ServeMetrics;
 use crate::pool::WorkerPool;
@@ -38,7 +50,7 @@ use gdp_scenarios::{
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -48,8 +60,17 @@ use std::time::{Duration, Instant};
 /// How long a connection read blocks before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(150);
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How often the signal waker re-checks the signal flag.  glibc's
+/// `signal()` sets `SA_RESTART`, so a signal never interrupts the blocking
+/// `accept`; the waker notices the flag instead and wakes it.
+const SIGNAL_POLL: Duration = Duration::from_millis(25);
+
+/// How long a wake connection may take to reach the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Most connections served at once.  Past it, an accepted connection gets
+/// one retryable `error` line and is closed.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// Configuration for [`run_serve`].
 #[derive(Clone, Debug)]
@@ -68,7 +89,8 @@ pub struct ServeConfig {
 
 /// Everything a connection thread shares with the accept loop.
 struct ServerState {
-    store_dir: PathBuf,
+    /// The bare handle opened once at startup; requests derive theirs.
+    store: CellStore,
     pool: WorkerPool,
     metrics: Arc<ServeMetrics>,
     /// Set by a `shutdown` protocol request.  Per-server (unlike the
@@ -76,6 +98,8 @@ struct ServerState {
     /// another in the same process — which is exactly the situation in the
     /// test binaries.
     local_shutdown: AtomicBool,
+    /// The listener's own address, reachable over loopback.
+    wake_addr: SocketAddr,
 }
 
 impl ServerState {
@@ -85,7 +109,39 @@ impl ServerState {
 
     fn begin_shutdown(&self) {
         self.local_shutdown.store(true, Ordering::Relaxed);
+        self.wake_accept();
     }
+
+    /// Unblocks the accept loop with a throwaway connection; the loop sees
+    /// the shutdown flag, drops it and stops.
+    fn wake_accept(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+    }
+}
+
+/// Where a loopback connect reaches a listener bound to `local`: an
+/// unspecified address is replaced by the loopback address of its family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// Polls the signal flag until the accept loop has stopped, waking the
+/// loop on every poll that finds a signal's shutdown request (so a lost
+/// wake connection is retried).
+fn spawn_signal_waker(state: Arc<ServerState>) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        while !state.local_shutdown.load(Ordering::Relaxed) {
+            if signal::requested() {
+                state.wake_accept();
+            }
+            std::thread::sleep(SIGNAL_POLL);
+        }
+    })
 }
 
 /// Runs the service until SIGTERM/SIGINT or a `shutdown` request, then
@@ -93,8 +149,8 @@ impl ServerState {
 ///
 /// # Errors
 ///
-/// Propagates binding/listener I/O errors; per-connection errors only end
-/// that connection.
+/// Propagates binding/listener I/O errors and a failure to open the store;
+/// per-connection errors only end that connection.
 pub fn run_serve(config: ServeConfig) -> io::Result<()> {
     signal::install();
     let listener = TcpListener::bind(&config.addr)?;
@@ -104,42 +160,58 @@ pub fn run_serve(config: ServeConfig) -> io::Result<()> {
 /// The accept loop over an already-bound listener (separated from
 /// [`run_serve`] so tests can bind port 0 and learn the port first).
 fn serve_on(listener: TcpListener, config: &ServeConfig) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
+    let store = CellStore::open_bare(&config.store_dir).map_err(|e| {
+        let message = format!("cannot open store {}: {e}", config.store_dir.display());
+        io::Error::new(e.kind(), message)
+    })?;
     let workers = if config.workers == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         config.workers
     };
     let state = Arc::new(ServerState {
-        store_dir: config.store_dir.clone(),
+        store,
         pool: WorkerPool::new(workers, config.queue_capacity),
         metrics: Arc::new(ServeMetrics::new()),
         local_shutdown: AtomicBool::new(false),
+        wake_addr: wake_addr(local),
     });
     println!(
         "gdp serve listening on {local} (store {}, {workers} worker(s), queue capacity {})",
         config.store_dir.display(),
         config.queue_capacity.max(1),
     );
+    let waker = spawn_signal_waker(state.clone());
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !state.should_stop() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                state.metrics.note_connection();
-                let state = state.clone();
-                connections.push(std::thread::spawn(move || {
-                    handle_connection(stream, &state)
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    let accepted = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => break Err(e),
+        };
+        if state.should_stop() {
+            // The wake connection (or a client that raced it): unanswered.
+            break Ok(());
         }
         connections.retain(|handle| !handle.is_finished());
-    }
+        if connections.len() >= MAX_CONNECTIONS {
+            state.metrics.note_connection_rejection();
+            let message =
+                format!("connection limit reached ({MAX_CONNECTIONS} open); retry shortly");
+            let _ = writeln!(&stream, "{}", protocol::error_line(&message, true));
+            continue;
+        }
+        state.metrics.note_connection();
+        let state = state.clone();
+        connections.push(std::thread::spawn(move || {
+            handle_connection(stream, &state)
+        }));
+    };
+    // Stops the waker and, after an accept error, the connections too.
+    state.local_shutdown.store(true, Ordering::Relaxed);
+    let _ = waker.join();
+    connections.retain(|handle| !handle.is_finished());
     println!(
         "gdp serve draining: {} open connection(s), {} queued job(s)",
         connections.len(),
@@ -159,7 +231,7 @@ fn serve_on(listener: TcpListener, config: &ServeConfig) -> io::Result<()> {
         registry.counter("serve.cells_computed"),
         registry.counter("serve.queue_rejections"),
     );
-    Ok(())
+    accepted
 }
 
 /// Whether to keep reading requests from this connection.
@@ -270,10 +342,10 @@ fn handle_sweep(
     state: &Arc<ServerState>,
 ) -> io::Result<()> {
     let spec = Arc::new(request.spec.clone());
-    let store = match CellStore::open(&state.store_dir, &spec, request.exact_check) {
+    let store = match state.store.for_spec(&spec, request.exact_check) {
         Ok(store) => Arc::new(store),
         Err(e) => {
-            let message = format!("cannot open store {}: {e}", state.store_dir.display());
+            let message = format!("cannot open store {}: {e}", state.store.root().display());
             writeln!(writer, "{}", protocol::error_line(&message, false))?;
             return Ok(());
         }
@@ -579,6 +651,15 @@ mod tests {
         assert_eq!(read_line(&mut responses), protocol::bye_line());
         server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&store);
+    }
+
+    #[test]
+    fn the_wake_address_is_loopback_for_unspecified_binds() {
+        let wake = |addr: &str| wake_addr(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("127.0.0.1:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("192.0.2.7:7878"), "192.0.2.7:7878");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! Everything else (draining workers, flushing connections) happens on
 //! ordinary threads that poll [`requested`].
 //!
-//! glibc's `signal()` installs BSD semantics (`SA_RESTART`), so a blocking
-//! `accept` would simply restart after the handler runs — which is why the
-//! server's accept loop is nonblocking and polls this flag between
-//! `WouldBlock`s instead of sleeping in the kernel.
+//! glibc's `signal()` installs BSD semantics (`SA_RESTART`), so the
+//! server's blocking `accept` simply restarts after the handler runs.  The
+//! server therefore runs a small thread that polls [`requested`] and, once
+//! it is set, wakes the accept with a loopback connection.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -13,14 +13,21 @@
 //!   from the dead server's own scratch files, which the restart sweeps;
 //! * the **request-line cap** — a client that never sends `\n` gets one
 //!   non-retryable error and is disconnected, and the server keeps serving
-//!   fresh connections.
+//!   fresh connections;
+//! * the **connection cap** — past `MAX_CONNECTIONS` open connections a new
+//!   one gets one retryable error, and once one closes a fresh one is
+//!   served;
+//! * **SIGTERM on an idle server** — the accept loop blocks in the kernel,
+//!   and a signal must still drain it and exit 0;
+//! * the **once-per-server temp sweep** — a foreign scratch file survives
+//!   requests and is swept by the next server start.
 
 use gdp_scenarios::stable_digest64;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The stock 24-cell grid with a test-sized budget (the default 20 x 40 000
 /// would dominate the suite's runtime without proving anything extra).
@@ -111,6 +118,15 @@ impl Server {
         }
     }
 
+    /// A fresh connection to the server, with a read timeout.
+    fn connect(&self) -> TcpStream {
+        let stream = TcpStream::connect(self.client.peer_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream
+    }
+
     /// Sends `shutdown`, expects `bye`, and asserts the graceful exit 0.
     fn shutdown(mut self) {
         self.send("{\"type\": \"shutdown\"}");
@@ -156,6 +172,29 @@ fn tmp_files(dir: &Path) -> Vec<PathBuf> {
         }
     }
     found
+}
+
+/// Sends one request line on `stream` and reads one response line.
+fn request_once(mut stream: &TcpStream, request: &str) -> std::io::Result<String> {
+    stream.write_all(format!("{request}\n").as_bytes())?;
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line)?;
+    Ok(line.trim_end().to_string())
+}
+
+/// Waits for `child` to exit, failing after `limit`.
+fn wait_within(child: &mut Child, limit: Duration) -> std::process::ExitStatus {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            return status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("the server did not exit within {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 fn quarantine_count(store: &Path) -> usize {
@@ -299,6 +338,112 @@ fn a_sigkilled_server_resumes_from_its_store_without_quarantines() {
         "restart must sweep stale scratch files"
     );
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn connections_past_the_cap_get_a_retryable_error_until_one_closes() {
+    let work = temp_dir("conn_cap");
+    let mut server = Server::start(&work.join("store"));
+    // The server's own client holds one slot; fill the rest, each answered
+    // once so it is known to be accepted before the next connects.
+    let mut idle: Vec<TcpStream> = Vec::new();
+    for _ in 1..gdp_serve::MAX_CONNECTIONS {
+        let stream = server.connect();
+        assert_eq!(
+            request_once(&stream, "{\"type\": \"ping\"}").unwrap(),
+            "{\"type\":\"pong\"}"
+        );
+        idle.push(stream);
+    }
+
+    let mut responses = BufReader::new(server.connect());
+    let mut error = String::new();
+    responses.read_line(&mut error).unwrap();
+    assert!(error.contains("\"type\":\"error\""), "{error}");
+    assert!(error.contains("\"retryable\":true"), "{error}");
+    let mut rest = String::new();
+    responses.read_to_string(&mut rest).unwrap();
+    assert_eq!(rest, "", "the server closes a connection past the cap");
+
+    // Once one connection closes, a retrying client gets served.  A retry
+    // that is still rejected reads the error line, or a reset if the server
+    // closed it with the ping unread.
+    drop(idle.pop());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match request_once(&server.connect(), "{\"type\": \"ping\"}") {
+            Ok(answer) if answer == "{\"type\":\"pong\"}" => break,
+            Ok(answer) => assert!(answer.contains("\"retryable\":true"), "{answer}"),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::BrokenPipe
+                ),
+                "{e}"
+            ),
+        }
+        assert!(Instant::now() < deadline, "no slot freed up");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    server.send("{\"type\": \"metrics\"}");
+    let metrics = server.read_line();
+    assert!(
+        field_u64(&metrics, "serve.connection_rejections") >= 1,
+        "{metrics}"
+    );
+    drop(idle);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn sigterm_drains_an_idle_server_and_exits_zero() {
+    let work = temp_dir("sigterm");
+    let mut server = Server::start(&work.join("store"));
+    server.send("{\"type\": \"ping\"}");
+    // The answered ping means the accept loop has handed the connection
+    // off and is back in its blocking accept.
+    assert_eq!(server.read_line(), "{\"type\":\"pong\"}");
+
+    let pid = server.child.id().to_string();
+    let kill = Command::new("kill").args(["-TERM", &pid]).status().unwrap();
+    assert!(kill.success());
+    let status = wait_within(&mut server.child, Duration::from_secs(10));
+    assert!(status.success(), "SIGTERM must exit 0, got {status:?}");
+    let mut rest = String::new();
+    server.stdout.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("gdp serve stopped:"), "{rest}");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn stale_temp_files_are_swept_once_per_server_start() {
+    let work = temp_dir("sweep_once");
+    let store = work.join("store");
+    let request = r#"{"type": "sweep", "families": "ring", "sizes": "4", "algorithms": "gdp1", "trials": 2, "steps": 2000}"#;
+    let mut server = Server::start(&store);
+    server.send(request);
+    let (_, summary) = server.read_sweep();
+    assert_eq!(field_u64(&summary, "computed"), 1, "{summary}");
+
+    // A scratch file of a writer in another process: requests leave it be.
+    let foreign = store.join("cells").join("x.tmp.999999.0");
+    std::fs::write(&foreign, b"half a record").unwrap();
+    server.send(request);
+    let (_, summary) = server.read_sweep();
+    assert_eq!(field_u64(&summary, "reused"), 1, "{summary}");
+    assert!(foreign.exists(), "a request must not sweep the store");
+    server.shutdown();
+
+    // The next server start sweeps it.
+    let server = Server::start(&store);
+    assert!(
+        !foreign.exists(),
+        "a server start must sweep stale scratch files"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&work);
 }
