@@ -231,6 +231,15 @@ impl Mdp {
             .zip(self.probs[start..end].iter().copied())
     }
 
+    /// The raw compressed sparse rows: `row_offsets` (one entry per
+    /// (state, choice) row plus a terminator), then the parallel `succs`
+    /// and `probs` arrays the offsets index.  Row `s * num_choices + c`
+    /// holds exactly [`outcomes(s, c)`](Self::outcomes); hot solver loops
+    /// slice a whole state's row group at once instead.
+    pub(crate) fn csr(&self) -> (&[u32], &[u32], &[f64]) {
+        (&self.row_offsets, &self.succs, &self.probs)
+    }
+
     /// Total number of stored transitions.
     #[must_use]
     pub fn num_transitions(&self) -> usize {

@@ -38,18 +38,25 @@
 //! The product construction is **serial** and deterministic: states are
 //! discovered in BFS order and expanded in discovery order, so state
 //! numbering, transition layout and every probability are identical
-//! across runs (restricted models are small — the product multiplies the
-//! state count by the scheduler-bookkeeping range, which is why this
-//! module insists on *finite* classes).  Symmetry reduction is off: the
-//! scheduler bookkeeping (wait counters, crashed sets) is not invariant
-//! under topology relabellings, and soundness beats the constant factor.
+//! across runs.  The product multiplies the state count by the
+//! scheduler-bookkeeping range (which is why this module insists on
+//! *finite* classes), so memory matters: discovered states wait in a FIFO
+//! queue and each engine snapshot is dropped once its state is expanded.
+//! Peak memory is the BFS frontier's snapshots plus the per-state flags,
+//! the dedup map and the CSR transitions — on ring-4 GDP1 under `crash:1`
+//! (1.15 M states) about 150 bytes per state rather than the ~600 a live
+//! snapshot costs.  Symmetry reduction is off: the scheduler bookkeeping
+//! (wait counters, crashed sets) is not invariant under topology
+//! relabellings, and soundness beats the constant factor.
 
 use crate::model::{
     is_target, mdp_from_parts, state_is_safe, BuildOptions, CheckTarget, KeyMap, Mdp, UNEXPLORED,
 };
+use crate::solve::MAX_CHOICES;
 use gdp_sim::{fingerprint64, Engine, EngineState, Program};
 use gdp_topology::{Automorphism, PhilosopherId, Topology};
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// The adversary class a restricted check quantifies over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -83,6 +90,18 @@ impl ScheduleRestriction {
             ScheduleRestriction::CrashStop { max_crashes } => {
                 format!("fair schedulers with up to {max_crashes} crash-stop fault(s)")
             }
+        }
+    }
+
+    /// The largest philosopher count the product supports: a k-bounded
+    /// product's full-schedule mask `(1 << n) - 1` needs `n < 64`, and a
+    /// crash-stop product spends two of the solver's [`MAX_CHOICES`]
+    /// choices on each philosopher (schedule it, crash it).
+    #[must_use]
+    pub fn max_philosophers(self) -> usize {
+        match self {
+            ScheduleRestriction::KBounded { .. } => MAX_CHOICES - 1,
+            ScheduleRestriction::CrashStop { .. } => MAX_CHOICES / 2,
         }
     }
 }
@@ -139,9 +158,11 @@ fn allowed_schedules(restriction: ScheduleRestriction, tag: &SchedTag, n: usize)
 ///
 /// # Panics
 ///
-/// Panics when the philosopher count exceeds what the choice bitmasks
-/// support (63 for k-bounded, 32 for crash-stop) or when a k-bounded
-/// restriction is built with `k = 0`.
+/// Panics when the philosopher count exceeds
+/// [`ScheduleRestriction::max_philosophers`] (63 for k-bounded, 32 for
+/// crash-stop) or when a k-bounded restriction is built with `k = 0`.
+/// Callers facing untrusted input check the count first, as `gdp check`
+/// does.
 #[must_use]
 pub fn build_restricted_mdp<P>(
     topology: &Topology,
@@ -154,17 +175,18 @@ where
     P: Program + Clone,
 {
     let n = topology.num_philosophers();
+    let max_philosophers = restriction.max_philosophers();
+    assert!(
+        n <= max_philosophers,
+        "{} support up to {max_philosophers} philosophers",
+        restriction.describe()
+    );
     let (num_choices, initial_tag) = match restriction {
         ScheduleRestriction::KBounded { k } => {
             assert!(k >= 1, "k-bounded fairness needs k >= 1");
-            // `(1u64 << n) - 1` full-schedule masks need n < 64.
-            assert!(n <= 63, "k-bounded product supports up to 63 philosophers");
             (n, SchedTag::Waits(vec![0; n]))
         }
-        ScheduleRestriction::CrashStop { .. } => {
-            assert!(n <= 32, "crash-stop product supports up to 32 philosophers");
-            (2 * n, SchedTag::Crashed { mask: 0, used: 0 })
-        }
+        ScheduleRestriction::CrashStop { .. } => (2 * n, SchedTag::Crashed { mask: 0, used: 0 }),
     };
 
     let mut engine = Engine::new(topology.clone(), program.clone(), options.sim.clone());
@@ -180,10 +202,13 @@ where
     // the end so the tally is path-independent.
     let mut safe = vec![state_is_safe(&engine)];
     let mut requirements: Vec<u64> = Vec::new();
-    let mut pending: Vec<Pending<P>> = vec![Pending {
+    // FIFO of discovered-but-unexpanded states.  A state leaves the queue
+    // when it is expanded, so the engine snapshots held at any moment are
+    // the BFS frontier, not the whole product.
+    let mut pending: VecDeque<Pending<P>> = VecDeque::from([Pending {
         state: initial_state,
         tag: initial_tag,
-    }];
+    }]);
     let mut truncated = false;
 
     let mut row_offsets: Vec<u32> = vec![0];
@@ -191,15 +216,15 @@ where
     let mut probs: Vec<f64> = Vec::new();
 
     // BFS discovery doubles as expansion order: state `cursor`'s row group
-    // is appended before state `cursor + 1` is looked at, so the CSR comes
-    // out state-major with no reordering pass.
+    // is appended before state `cursor + 1` is popped, so the CSR comes out
+    // state-major with no reordering pass.
     let mut cursor = 0usize;
-    while cursor < pending.len() {
+    while let Some(Pending { state, tag }) = pending.pop_front() {
         let full_schedules = (1u64 << n) - 1;
         let (allowed, requirement) = if targets[cursor] {
             (0u64, full_schedules)
         } else {
-            let allowed = allowed_schedules(restriction, &pending[cursor].tag, n);
+            let allowed = allowed_schedules(restriction, &tag, n);
             let requirement = match restriction {
                 // The wait counters force fairness structurally: every
                 // infinite play of the product is bounded-fair, so no
@@ -227,7 +252,7 @@ where
                     row_offsets.push(succs.len() as u32);
                     continue;
                 }
-                let succ_tag = match &pending[cursor].tag {
+                let succ_tag = match &tag {
                     SchedTag::Waits(waits) => {
                         // The forcing rule keeps every counter below
                         // `k + n`, so the product stays finite.
@@ -239,11 +264,8 @@ where
                     }
                     crashed @ SchedTag::Crashed { .. } => crashed.clone(),
                 };
-                // Split borrows: the parent snapshot must outlive the
-                // enumeration while we mutate the shared maps.
-                let parent = pending[cursor].state.clone();
                 engine.for_each_step_outcome_from(
-                    &parent,
+                    &state,
                     PhilosopherId::new(choice as u32),
                     |prob, post, _| {
                         post.snapshot_into(&mut succ_buf);
@@ -259,7 +281,7 @@ where
                                     e.insert(idx);
                                     targets.push(is_target(post, target));
                                     safe.push(state_is_safe(post));
-                                    pending.push(Pending {
+                                    pending.push_back(Pending {
                                         state: succ_buf.clone(),
                                         tag: succ_tag.clone(),
                                     });
@@ -275,7 +297,7 @@ where
             } else {
                 // Crash philosopher `choice - n` (crash-stop only).
                 let victim = choice - n;
-                let (mask, used, max_crashes) = match (&pending[cursor].tag, restriction) {
+                let (mask, used, max_crashes) = match (&tag, restriction) {
                     (
                         SchedTag::Crashed { mask, used },
                         ScheduleRestriction::CrashStop { max_crashes },
@@ -292,7 +314,7 @@ where
                     mask: mask | (1 << victim),
                     used: used + 1,
                 };
-                let key = succ_tag.key(&pending[cursor].state);
+                let key = succ_tag.key(&state);
                 let succ = match index_of_key.entry(key) {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
@@ -306,8 +328,8 @@ where
                             // target/safety flags carry over from the parent.
                             targets.push(targets[cursor]);
                             safe.push(safe[cursor]);
-                            pending.push(Pending {
-                                state: pending[cursor].state.clone(),
+                            pending.push_back(Pending {
+                                state: state.clone(),
                                 tag: succ_tag,
                             });
                             idx

@@ -49,11 +49,24 @@
 //! random scheduler**, which [`solve`] optionally computes by iterating the
 //! induced Markov chain.
 //!
+//! **Value iteration cost.**  Only the *active* states — expanded,
+//! non-target, outside the conservative core set — change value, so the
+//! probability iteration collects them once and each round reads just
+//! their CSR row groups (on ring-4 GDP1 under `crash:1`, 63% of the
+//! states).  The skipped states are constants of the iteration, so every
+//! round is bitwise-identical to a full sweep over all states.
+//!
 //! Every pass iterates states in index order with fixed epsilon and
 //! deterministic float arithmetic, so solutions — like the models they are
 //! computed from — are bitwise-identical across runs and thread counts.
 
 use crate::model::{Mdp, UNEXPLORED};
+
+/// The most choices per state the fair-core analysis supports: fairness
+/// requirements and their coverage are `u64` bitmasks, one bit per choice.
+/// An unrestricted model has one choice per philosopher, so it caps
+/// unrestricted checks at this many philosophers.
+pub const MAX_CHOICES: usize = 64;
 
 /// Options controlling the solver.
 #[derive(Clone, Debug)]
@@ -327,10 +340,10 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     let mut covered = vec![0u64; num_components as usize];
     let mut required = vec![0u64; num_components as usize];
     assert!(
-        n_choices <= 64,
-        "fairness bitmask supports up to 64 choices"
+        n_choices <= MAX_CHOICES,
+        "fairness bitmask supports up to {MAX_CHOICES} choices"
     );
-    let full = if n_choices == 64 {
+    let full = if n_choices == MAX_CHOICES {
         u64::MAX
     } else {
         (1u64 << n_choices) - 1
@@ -415,13 +428,84 @@ fn sure_attractor(mdp: &Mdp, core: &[bool]) -> (Vec<bool>, Vec<u32>) {
     (inside, witness)
 }
 
+/// Max-avoid value iteration: `(mdp, conservative, strategy, options)` to
+/// `(avoid values, rounds)`, writing each iterated state's best choice
+/// into `strategy`.
+type ValueIteration = fn(&Mdp, &[bool], &mut [u32], &SolveOptions) -> (Vec<f64>, u64);
+
+/// The adversary's maximal probability of reaching a `conservative` state
+/// (fair core or unknown frontier) while avoiding the target, iterated from
+/// below.  Only the **active** states — expanded, non-target, not
+/// conservative — ever change value, so they are collected once and each
+/// round walks their CSR row groups directly.  Per-row summation order and
+/// the strict `>` tie-break are those of a full index-order sweep, so
+/// values, strategy and round count are bitwise-identical to it
+/// (test-enforced against a reference loop).
+fn value_iteration(
+    mdp: &Mdp,
+    conservative: &[bool],
+    strategy: &mut [u32],
+    options: &SolveOptions,
+) -> (Vec<f64>, u64) {
+    let n_choices = mdp.num_choices;
+    let (row_offsets, succs, probs) = mdp.csr();
+    let active: Vec<u32> = (0..mdp.num_states)
+        .filter(|&s| !conservative[s] && !mdp.target[s] && mdp.expanded[s])
+        .map(|s| s as u32)
+        .collect();
+    let mut avoid: Vec<f64> = conservative
+        .iter()
+        .map(|&c| if c { 1.0 } else { 0.0 })
+        .collect();
+    let mut next = avoid.clone();
+    let mut iterations = 0u64;
+    loop {
+        let mut delta: f64 = 0.0;
+        for &s in &active {
+            let s = s as usize;
+            let group = &row_offsets[s * n_choices..=(s + 1) * n_choices];
+            let mut best = f64::NEG_INFINITY;
+            let mut best_choice = 0u32;
+            for (c, row) in group.windows(2).enumerate() {
+                let (start, end) = (row[0] as usize, row[1] as usize);
+                let mut value = 0.0;
+                for (&succ, &p) in succs[start..end].iter().zip(&probs[start..end]) {
+                    // UNEXPLORED is adversary-friendly (truncated models
+                    // only report lower bounds on the target probability).
+                    value += p * if succ == UNEXPLORED {
+                        1.0
+                    } else {
+                        avoid[succ as usize]
+                    };
+                }
+                if value > best {
+                    best = value;
+                    best_choice = c as u32;
+                }
+            }
+            strategy[s] = best_choice;
+            delta = delta.max(best - avoid[s]);
+            next[s] = best;
+        }
+        std::mem::swap(&mut avoid, &mut next);
+        iterations += 1;
+        if delta <= options.epsilon || iterations >= options.max_iterations {
+            break;
+        }
+    }
+    (avoid, iterations)
+}
+
 /// Solves `mdp` for the worst-case (fair-adversary) reachability
 /// probability, and optionally the uniform-scheduler expected steps.  See
 /// the [module docs](self).
 #[must_use]
 pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
+    solve_with(mdp, options, value_iteration)
+}
+
+fn solve_with(mdp: &Mdp, options: &SolveOptions, iterate: ValueIteration) -> Solution {
     let n_states = mdp.num_states;
-    let n_choices = mdp.num_choices;
     let cores = fair_cores(mdp);
 
     let mut strategy: Vec<u32> = vec![0; n_states];
@@ -481,45 +565,7 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
     // of a truncated build — while avoiding the target; the fair
     // worst-case target probability is the complement (a lower bound when
     // truncated).
-    let mut avoid: Vec<f64> = (0..n_states)
-        .map(|s| if cores.conservative[s] { 1.0 } else { 0.0 })
-        .collect();
-    let mut next = avoid.clone();
-    let mut iterations = 0u64;
-    loop {
-        let mut delta: f64 = 0.0;
-        for s in 0..n_states {
-            if cores.conservative[s] || mdp.target[s] || !mdp.expanded[s] {
-                continue;
-            }
-            let mut best = f64::NEG_INFINITY;
-            let mut best_choice = 0u32;
-            for c in 0..n_choices {
-                let mut value = 0.0;
-                for (succ, p) in mdp.outcomes(s as u32, c) {
-                    // UNEXPLORED is adversary-friendly (truncated models
-                    // only report lower bounds on the target probability).
-                    value += p * if succ == UNEXPLORED {
-                        1.0
-                    } else {
-                        avoid[succ as usize]
-                    };
-                }
-                if value > best {
-                    best = value;
-                    best_choice = c as u32;
-                }
-            }
-            strategy[s] = best_choice;
-            delta = delta.max(best - avoid[s]);
-            next[s] = best;
-        }
-        std::mem::swap(&mut avoid, &mut next);
-        iterations += 1;
-        if delta <= options.epsilon || iterations >= options.max_iterations {
-            break;
-        }
-    }
+    let (mut avoid, iterations) = iterate(mdp, &cores.conservative, &mut strategy, options);
 
     // Pin the sure-avoid region at exactly 1 (value iteration from below
     // only approaches it in the limit) so replay can rely on the value-1
@@ -587,10 +633,11 @@ fn uniform_expected_steps(mdp: &Mdp, options: &SolveOptions) -> (f64, u64) {
 mod tests {
     use super::*;
     use crate::model::{build_mdp, BuildOptions, CheckTarget};
+    use crate::restricted::{build_restricted_mdp, ScheduleRestriction};
     use gdp_algorithms::baselines::OrderedForks;
-    use gdp_algorithms::{Gdp1, Lr1};
+    use gdp_algorithms::{Gdp1, Lr1, Lr2};
     use gdp_sim::Program;
-    use gdp_topology::builders::classic_ring;
+    use gdp_topology::builders::{classic_ring, star};
     use gdp_topology::{PhilosopherId, Topology};
 
     fn build<P>(topology: &Topology, program: &P, target: CheckTarget, symmetry: bool) -> Mdp
@@ -748,5 +795,115 @@ mod tests {
         );
         assert!(solution.certified && solution.probability == 0.0);
         assert!(solution.initial_sure_avoids);
+    }
+
+    /// The full index-order sweep the active-set iteration replaces, kept
+    /// as an oracle: every state is visited and the skipped ones are
+    /// filtered inside the loop, reading rows through `outcomes`.
+    fn reference_value_iteration(
+        mdp: &Mdp,
+        conservative: &[bool],
+        strategy: &mut [u32],
+        options: &SolveOptions,
+    ) -> (Vec<f64>, u64) {
+        let mut avoid: Vec<f64> = (0..mdp.num_states)
+            .map(|s| if conservative[s] { 1.0 } else { 0.0 })
+            .collect();
+        let mut next = avoid.clone();
+        let mut iterations = 0u64;
+        loop {
+            let mut delta: f64 = 0.0;
+            for s in 0..mdp.num_states {
+                if conservative[s] || mdp.target[s] || !mdp.expanded[s] {
+                    continue;
+                }
+                let mut best = f64::NEG_INFINITY;
+                let mut best_choice = 0u32;
+                for c in 0..mdp.num_choices {
+                    let mut value = 0.0;
+                    for (succ, p) in mdp.outcomes(s as u32, c) {
+                        value += p * if succ == UNEXPLORED {
+                            1.0
+                        } else {
+                            avoid[succ as usize]
+                        };
+                    }
+                    if value > best {
+                        best = value;
+                        best_choice = c as u32;
+                    }
+                }
+                strategy[s] = best_choice;
+                delta = delta.max(best - avoid[s]);
+                next[s] = best;
+            }
+            std::mem::swap(&mut avoid, &mut next);
+            iterations += 1;
+            if delta <= options.epsilon || iterations >= options.max_iterations {
+                break;
+            }
+        }
+        (avoid, iterations)
+    }
+
+    /// The first index where two equally long slices differ.
+    fn first_difference<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
+        assert_eq!(a.len(), b.len());
+        a.iter().zip(b).position(|(x, y)| x != y)
+    }
+
+    /// The value-iteration cells `gdp check` pins byte for byte
+    /// (`tests/check_cli.rs`): a k-bounded product, a crash-stop product, a
+    /// symmetric fair model with a counterexample, and a truncated product
+    /// whose iteration reads `UNEXPLORED` successors.
+    #[test]
+    fn active_set_value_iteration_is_bitwise_identical_to_the_full_sweep() {
+        let ring = classic_ring(3).unwrap();
+        let star3 = star(3).unwrap();
+        let p0 = CheckTarget::PhilosopherEats(PhilosopherId::new(0));
+        let budget = |max_states| BuildOptions::default().with_max_states(max_states);
+        let kbounded = ScheduleRestriction::KBounded { k: 2 };
+        let models = [
+            build_restricted_mdp(&ring, &Gdp1::new(), p0, kbounded, &budget(100_000)),
+            build_restricted_mdp(
+                &star3,
+                &Lr1::new(),
+                CheckTarget::Progress,
+                ScheduleRestriction::CrashStop { max_crashes: 1 },
+                &budget(100_000),
+            ),
+            build(&star3, &Lr1::new(), p0, true),
+            build_restricted_mdp(&ring, &Lr2::new(), p0, kbounded, &budget(20_000)),
+        ];
+        let options = SolveOptions::default();
+        let pinned = [(1435, 487), (1250, 150), (195, 132), (20_000, 199)];
+        for (i, (mdp, (states, rounds))) in models.iter().zip(pinned).enumerate() {
+            let fast = solve(mdp, &options);
+            let oracle = solve_with(mdp, &options, reference_value_iteration);
+            assert!(!fast.certified, "model {i} must reach value iteration");
+            assert_eq!(
+                (mdp.num_states, fast.iterations),
+                (states, rounds),
+                "model {i}"
+            );
+            assert_eq!(fast.iterations, oracle.iterations, "model {i}");
+            assert_eq!(
+                first_difference(&fast.strategy, &oracle.strategy),
+                None,
+                "model {i}: first state whose strategy differs"
+            );
+            assert_eq!(
+                fast.probability.to_bits(),
+                oracle.probability.to_bits(),
+                "model {i}"
+            );
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                first_difference(&bits(&fast.avoid_value), &bits(&oracle.avoid_value)),
+                None,
+                "model {i}: first state whose avoid value differs"
+            );
+        }
+        assert!(models[3].truncated, "the LR2 budget must truncate");
     }
 }

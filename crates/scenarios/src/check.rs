@@ -20,6 +20,7 @@ use crate::store::{stable_digest64, CellStore, CertLookup, StoreStats};
 use gdp_algorithms::AlgorithmKind;
 pub use gdp_mcheck::certificate::Verdict as CheckVerdict;
 use gdp_mcheck::certificate::Verdict;
+use gdp_mcheck::solve::MAX_CHOICES;
 use gdp_mcheck::strategy::{counterexample_dot, extract_counterexample, CounterexampleSchedule};
 use gdp_mcheck::{
     build_mdp, build_restricted_mdp, solve, BuildOptions, Certificate, CheckTarget,
@@ -182,6 +183,11 @@ impl std::str::FromStr for CheckTargetSpec {
     }
 }
 
+/// The state budget of an exact check when none is given: `gdp check
+/// --max-states`'s default, and the largest `exact_check` budget `gdp
+/// serve` accepts.
+pub const DEFAULT_MAX_STATES: usize = 6_000_000;
+
 /// A fully specified exact check: one sweep-style cell plus an objective.
 #[derive(Clone, Debug)]
 pub struct CheckSpec {
@@ -224,7 +230,7 @@ impl CheckSpec {
             size,
             algorithm,
             target: CheckTargetSpec::Progress,
-            max_states: 6_000_000,
+            max_states: DEFAULT_MAX_STATES,
             threads: 0,
             symmetry: None,
             expected_steps: false,
@@ -333,7 +339,10 @@ impl CheckReport {
 ///
 /// # Errors
 ///
-/// Returns a message when the topology parameters are invalid or a
+/// Returns a message when the topology parameters are invalid, the
+/// topology has more philosophers than the checker's choice masks hold
+/// for the adversary class ([`MAX_CHOICES`] unrestricted,
+/// [`ScheduleRestriction::max_philosophers`] otherwise), or a
 /// `philosopher:<i>` target is out of range.
 pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
     let topology = spec
@@ -347,6 +356,16 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
             )
         })?;
     let cell = spec.cell_key();
+    let restriction = spec.adversary.restriction();
+    let max_philosophers = restriction.map_or(MAX_CHOICES, ScheduleRestriction::max_philosophers);
+    if topology.num_philosophers() > max_philosophers {
+        return Err(format!(
+            "{cell} has {} philosophers; exact checks against the {} adversary class \
+             support at most {max_philosophers}",
+            topology.num_philosophers(),
+            spec.adversary.name(),
+        ));
+    }
     let targets: Vec<CheckTarget> = match spec.target {
         CheckTargetSpec::Progress => vec![CheckTarget::Progress],
         CheckTargetSpec::Philosopher(index) => {
@@ -378,7 +397,6 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
     };
 
     let program = spec.algorithm.program();
-    let restriction = spec.adversary.restriction();
     let mut certificates = Vec::with_capacity(targets.len());
     let mut counterexample = None;
     let mut counterexample_dot_out = None;
@@ -584,8 +602,9 @@ pub(crate) fn decode_check_payload(payload: &str) -> Result<StoredCheck, String>
 /// Error produced by [`run_check_cached`].
 #[derive(Debug)]
 pub enum CheckStoreError {
-    /// The underlying [`run_check`] failed (invalid topology parameters or
-    /// an out-of-range target).
+    /// The underlying [`run_check`] failed (invalid topology parameters,
+    /// too many philosophers for the adversary class, or an out-of-range
+    /// target).
     Check(String),
     /// The store could not be read from or written to.
     Store {

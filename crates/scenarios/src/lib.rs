@@ -69,6 +69,7 @@ mod stress;
 pub use check::{
     exact_cell_verdict, run_check, run_check_cached, CheckAdversarySpec, CheckReport, CheckSpec,
     CheckStoreError, CheckTargetSpec, CheckVerdict, ExactCellVerdict, StoredCheck,
+    DEFAULT_MAX_STATES,
 };
 pub use family::{FamilyParseError, TopologyFamily, FAMILY_CATALOG};
 pub use gdp_adversary::{

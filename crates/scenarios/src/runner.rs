@@ -176,6 +176,14 @@ pub enum SweepError {
         /// The underlying builder error.
         source: TopologyError,
     },
+    /// A cell's exact check was refused, e.g. because the topology has
+    /// more philosophers than the checker supports.
+    Check {
+        /// The offending cell key.
+        cell: String,
+        /// The checker's one-line reason.
+        message: String,
+    },
     /// The spec expands to an empty grid.
     EmptyGrid,
     /// A completed cell could not be persisted to the attached store.
@@ -201,6 +209,9 @@ impl fmt::Display for SweepError {
         match self {
             SweepError::Topology { cell, source } => {
                 write!(f, "cell {cell}: {source}")
+            }
+            SweepError::Check { cell, message } => {
+                write!(f, "cell {cell}: exact check refused: {message}")
             }
             SweepError::EmptyGrid => write!(f, "the scenario grid is empty"),
             SweepError::Store { cell, message } => {
@@ -318,9 +329,9 @@ pub fn compute_cell_durable(
                                     version,
                                 }
                             }
-                            crate::check::CheckStoreError::Check(message) => SweepError::Topology {
+                            crate::check::CheckStoreError::Check(message) => SweepError::Check {
                                 cell: cell.key.clone(),
-                                source: gdp_topology::TopologyError::InvalidParameter { message },
+                                message,
                             },
                             other => SweepError::Store {
                                 cell: cell.key.clone(),
@@ -330,9 +341,9 @@ pub fn compute_cell_durable(
                     cert_stats = stats;
                     report
                 }
-                None => run_check(&check_spec).map_err(|message| SweepError::Topology {
+                None => run_check(&check_spec).map_err(|message| SweepError::Check {
                     cell: cell.key.clone(),
-                    source: gdp_topology::TopologyError::InvalidParameter { message },
+                    message,
                 })?,
             };
             let certificate = &report.certificates[0];

@@ -29,6 +29,7 @@ pub struct ServeMetrics {
     cert_hits: AtomicU64,
     cert_misses: AtomicU64,
     queue_rejections: AtomicU64,
+    budget_rejections: AtomicU64,
     queue_peak_depth: AtomicU64,
     request_ms: AtomicLog2Histogram,
 }
@@ -72,6 +73,12 @@ impl ServeMetrics {
         self.queue_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one sweep request rejected because its `exact_check` budget
+    /// exceeded the server's limit.
+    pub fn note_budget_rejection(&self) {
+        self.budget_rejections.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Tracks the high-water mark of the compute queue depth.
     pub fn note_queue_depth(&self, depth: usize) {
         self.queue_peak_depth
@@ -104,6 +111,7 @@ impl ServeMetrics {
         registry.counter_add("serve.cert_hit", load(&self.cert_hits));
         registry.counter_add("serve.cert_miss", load(&self.cert_misses));
         registry.counter_add("serve.queue_rejections", load(&self.queue_rejections));
+        registry.counter_add("serve.budget_rejections", load(&self.budget_rejections));
         registry.counter_add("serve.queue_peak_depth", load(&self.queue_peak_depth));
         registry.install_histogram(
             "serve.request_ms",

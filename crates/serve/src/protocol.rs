@@ -12,7 +12,9 @@
 //! export).  See `docs/SERVE.md` for the full schema.
 
 use gdp_observe::jsonl::escape_json;
-use gdp_scenarios::{cell_json, CellResult, ScenarioSpec, SeedPolicy, StoreStats};
+use gdp_scenarios::{
+    cell_json, CellResult, ScenarioSpec, SeedPolicy, StoreStats, DEFAULT_MAX_STATES,
+};
 use std::collections::BTreeMap;
 
 /// One parsed flat-JSON value.
@@ -204,6 +206,25 @@ pub struct SweepRequest {
     pub spec: ScenarioSpec,
     /// The `gdp-mcheck` state budget when exact verdicts were requested.
     pub exact_check: Option<usize>,
+}
+
+impl SweepRequest {
+    /// Rejects an `exact_check` budget above [`DEFAULT_MAX_STATES`], the
+    /// `gdp check` default: one served request may not make the checker
+    /// hold more states than a default command-line check would.
+    ///
+    /// # Errors
+    ///
+    /// The one-line reason the server answers with.
+    pub fn check_budget(&self) -> Result<(), String> {
+        match self.exact_check {
+            Some(budget) if budget > DEFAULT_MAX_STATES => Err(format!(
+                "field \"exact_check\": budget {budget} exceeds the server's limit of \
+                 {DEFAULT_MAX_STATES} states"
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 fn field_str(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<Option<String>, String> {
@@ -513,6 +534,27 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line:?} -> {err}");
         }
+    }
+
+    #[test]
+    fn exact_check_budgets_are_capped_at_the_cli_default() {
+        let budget = |value: usize| {
+            let line = format!("{{\"type\": \"sweep\", \"exact_check\": {value}}}");
+            let Request::Sweep(req) = parse_request(&line).unwrap() else {
+                panic!("expected a sweep request");
+            };
+            assert_eq!(req.exact_check, Some(value));
+            req.check_budget()
+        };
+        assert_eq!(budget(1), Ok(()));
+        assert_eq!(budget(DEFAULT_MAX_STATES), Ok(()));
+        let err = budget(DEFAULT_MAX_STATES + 1).unwrap_err();
+        assert!(err.contains("exceeds the server's limit"), "{err}");
+        assert!(!err.contains('\n'), "{err}");
+        let Request::Sweep(req) = parse_request("{\"type\": \"sweep\"}").unwrap() else {
+            panic!("expected a sweep request");
+        };
+        assert_eq!(req.check_budget(), Ok(()), "no exact check, no budget");
     }
 
     #[test]

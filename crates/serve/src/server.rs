@@ -20,6 +20,11 @@
 //!    order are buffered until their position is due), then the summary
 //!    footer whose `digest` lets the client verify the stream it received.
 //!
+//! Before step 1, a request whose `exact_check` budget exceeds
+//! [`DEFAULT_MAX_STATES`](gdp_scenarios::DEFAULT_MAX_STATES) is answered
+//! with one non-retryable `error` line and counted in
+//! `serve.budget_rejections`.
+//!
 //! ## Accepting
 //!
 //! The accept loop blocks in `accept`.  Each accepted connection gets a
@@ -341,6 +346,11 @@ fn handle_sweep(
     writer: &mut impl Write,
     state: &Arc<ServerState>,
 ) -> io::Result<()> {
+    if let Err(message) = request.check_budget() {
+        state.metrics.note_budget_rejection();
+        writeln!(writer, "{}", protocol::error_line(&message, false))?;
+        return Ok(());
+    }
     let spec = Arc::new(request.spec.clone());
     let store = match state.store.for_spec(&spec, request.exact_check) {
         Ok(store) => Arc::new(store),

@@ -45,7 +45,8 @@ use gdp_scenarios::{
     compact_store, gc_store, merge_stores, run_check, run_check_cached, run_stress_observed,
     run_sweep_durable, run_sweep_with, AdversaryKind, CellStore, CheckAdversarySpec, CheckSpec,
     CheckTargetSpec, CheckVerdict, MergeError, ScenarioSpec, SeedPolicy, ShardSpec, StressLoad,
-    StressSpec, SweepOptions, TopologyFamily, ADVERSARY_CATALOG, FAMILY_CATALOG,
+    StressSpec, SweepOptions, TopologyFamily, ADVERSARY_CATALOG, DEFAULT_MAX_STATES,
+    FAMILY_CATALOG,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -508,12 +509,10 @@ fn cmd_check(mut args: Args) -> Result<CommandOutcome, String> {
             .value_of("--target")?
             .unwrap_or_else(|| "progress".into()),
     )?;
-    let max_states: usize = parse(
-        "state budget",
-        &args
-            .value_of("--max-states")?
-            .unwrap_or_else(|| "6000000".into()),
-    )?;
+    let max_states: usize = match args.value_of("--max-states")? {
+        Some(value) => parse("state budget", &value)?,
+        None => DEFAULT_MAX_STATES,
+    };
     let threads: usize = parse(
         "thread count",
         &args.value_of("--threads")?.unwrap_or_else(|| "0".into()),

@@ -22,7 +22,7 @@
 //! * the **once-per-server temp sweep** — a foreign scratch file survives
 //!   requests and is swept by the next server start.
 
-use gdp_scenarios::stable_digest64;
+use gdp_scenarios::{stable_digest64, DEFAULT_MAX_STATES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -285,6 +285,52 @@ fn an_unterminated_oversized_request_is_rejected_and_the_server_keeps_serving() 
     let mut pong = String::new();
     BufReader::new(fresh).read_line(&mut pong).unwrap();
     assert_eq!(pong.trim_end(), "{\"type\":\"pong\"}");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// The two exact-check limits over the wire: a budget above the CLI
+/// default is refused before any store work, and a cell with more
+/// philosophers than the checker supports fails with the checker's reason
+/// in place of its cell line while the worker that computed it survives.
+/// Each failure is one non-retryable `error` line, and the connection keeps
+/// serving.
+#[test]
+fn exact_check_limits_answer_one_error_line_each() {
+    let work = temp_dir("exact_limits");
+    let mut server = Server::start(&work.join("store"));
+
+    server.send(&format!(
+        "{{\"type\": \"sweep\", \"exact_check\": {}}}",
+        DEFAULT_MAX_STATES + 1
+    ));
+    let error = server.read_line();
+    assert!(error.contains("\"retryable\":false"), "{error}");
+    assert!(error.contains("exceeds the server's limit"), "{error}");
+    server.send("{\"type\": \"ping\"}");
+    assert_eq!(server.read_line(), "{\"type\":\"pong\"}");
+
+    let oversized = "{\"type\": \"sweep\", \"families\": \"ring\", \"sizes\": \"70\", \
+         \"algorithms\": \"gdp1\", \"trials\": 1, \"steps\": 200, \"exact_check\": 100}";
+    for _ in 0..2 {
+        // Twice: a panicking check would have killed one of the two
+        // workers, and the second request would find a dead pool.
+        server.send(oversized);
+        let start = server.read_line();
+        assert!(start.contains("\"type\":\"sweep_start\""), "{start}");
+        let error = server.read_line();
+        assert!(error.contains("\"retryable\":false"), "{error}");
+        assert!(error.contains("ring/n70/GDP1"), "{error}");
+        assert!(error.contains("support at most 64"), "{error}");
+    }
+    server.send("{\"type\": \"ping\"}");
+    assert_eq!(server.read_line(), "{\"type\":\"pong\"}");
+
+    server.send("{\"type\": \"metrics\"}");
+    let metrics = server.read_line();
+    assert_eq!(field_u64(&metrics, "serve.budget_rejections"), 1);
+    assert_eq!(field_u64(&metrics, "serve.cells_computed"), 0);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&work);
