@@ -354,8 +354,9 @@ mod tests {
     /// counts, dead states, truncation, safety and eating-state counts —
     /// across seeds, budgets, programs and topologies, and its analytic
     /// [`ExplorationWork::replay_engine_steps`] must equal the engine steps
-    /// the reference actually executes.  The ring-4 GDP1 case is the perf
-    /// suite's `mcheck_state_space` exploration at its budget.
+    /// the reference actually executes.  On the full ring-4 GDP1 space the
+    /// replay walk would execute ≥10× the snapshot walk's engine steps; both
+    /// counts are exact and pinned.
     #[test]
     fn snapshot_explorer_matches_replay_reference_reports() {
         let ring3 = classic_ring(3).unwrap();
@@ -364,6 +365,12 @@ mod tests {
         let lr1 = AlgorithmKind::Lr1.program();
         let naive = AlgorithmKind::Naive.program();
         let gdp1 = AlgorithmKind::Gdp1.program();
+        let (_, work) = explore_realization_with_work(&ring4, &gdp1, 0, 200_000, 400);
+        assert_eq!(
+            (work.snapshot_engine_steps, work.replay_engine_steps),
+            (85_536, 1_897_016)
+        );
+        assert!(work.step_ratio() >= 10.0, "got {:.1}x", work.step_ratio());
         let mut cases = vec![(&ring4, &gdp1, 0u64, 200_000, 400)];
         for seed in [0u64, 1, 7] {
             for (max_states, max_depth) in [(600, 12), (20_000, 60)] {

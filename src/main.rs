@@ -1158,3 +1158,15 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_spells_the_default_state_budget() {
+        assert!(USAGE.contains(&format!(
+            "--max-states <n>       canonical-state budget      [default: {DEFAULT_MAX_STATES}]"
+        )));
+    }
+}
